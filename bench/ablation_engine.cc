@@ -36,8 +36,7 @@ int main() {
                 predictor.Perplexity(dataset.posts));
   }
   std::printf(
-      "\n(expected: equivalent fit; async skips the gather/apply pass and\n"
-      " the per-superstep aggregator broadcast, trading bulk sync for\n"
-      " fine-grained updates)\n");
+      "\n(expected: equivalent fit; async skips the per-superstep\n"
+      " aggregator broadcast, trading bulk sync for fine-grained updates)\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "core/parallel_sampler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/gibbs_sampler.h"
@@ -78,12 +79,23 @@ class ColdVertexProgram {
     comm_factor_.resize(K * C);
     topic_ck_.resize(C * K);
     log_nckt_eps_.resize(C * T * K);
+    own_prior_.resize(C * T * K);
     log_nkv_beta_.resize(V * K);
     lgamma_nk_vbeta_.resize(K);
+    // n_kv never exceeds word v's corpus frequency, which bounds the
+    // log(n_kv + beta) table.
+    std::vector<int64_t> word_freq(V, 0);
     for (text::PostId d = 0; d < posts_.num_posts(); ++d) {
       max_post_len_ = std::max(max_post_len_, posts_.length(d));
+      for (text::WordId w : posts_.words(d)) {
+        word_freq[static_cast<size_t>(w)]++;
+      }
     }
+    const auto max_freq = std::max_element(word_freq.begin(), word_freq.end());
+    log_kv_beta_.Build(config.beta,
+                       max_freq == word_freq.end() ? 0 : *max_freq);
     denom_.resize(static_cast<size_t>(max_post_len_ + 1) * K);
+    own_denom_.resize(static_cast<size_t>(max_post_len_ + 1) * K);
     if (use_network_) {
       w_link_.resize(C * C);
       w_link_in_.resize(C * C);
@@ -102,6 +114,13 @@ class ColdVertexProgram {
   }
 
   GatherType GatherInit() const { return {}; }
+
+  /// Gather/apply recount n_ic and n_ckt from the assignments, which only
+  /// the legacy mode needs (its racing fetch_adds can lose updates). In
+  /// delta mode Init, the boundary merge, ApplyDeltaEntries and checkpoint
+  /// restore keep both tables exact (CheckInvariants proves it), so the
+  /// engine skips the phase.
+  bool GatherActive() const { return legacy_; }
 
   // Gather: lines 1-10 of Alg 2 — community counts for user vertices,
   // community-topic counts for time vertices.
@@ -199,6 +218,87 @@ class ColdVertexProgram {
     if (legacy_) return;
     state_->EnsureDeltaBuffers(pool->num_threads());
     RebuildDerivedCaches(pool);
+    assert(MaxDerivedTableDrift() == 0.0);
+  }
+
+  /// \brief Largest |table entry - live expression| over every derived
+  /// table, each probed against the expression the kernel evaluates (or
+  /// used to evaluate live) over the current canonical counters. 0.0 in
+  /// legacy mode, which keeps no tables.
+  double MaxDerivedTableDrift() const {
+    if (legacy_) return 0.0;
+    const int C = config_.num_communities;
+    const int K = config_.num_topics;
+    const int T = posts_.num_time_slices();
+    const int V = state_->V();
+    const double beta = config_.beta;
+    const double epsilon = config_.epsilon;
+    double drift = 0.0;
+    auto probe = [&drift](double cached, double exact) {
+      drift = std::max(drift, std::abs(cached - exact));
+    };
+    for (int c = 0; c < C; ++c) {
+      for (int k = 0; k < K; ++k) {
+        const double n_ck = state_->r_n_ck(c, k);
+        const double n_c = state_->r_n_c(c);
+        probe(comm_factor_[static_cast<size_t>(k) * C + c],
+              (n_ck + alpha_) / ((n_c + kalpha_) * (n_ck + teps_)));
+        probe(topic_ck_[static_cast<size_t>(c) * K + k],
+              std::log(n_ck + alpha_) - std::log(n_ck + teps_));
+        // The own-excluded prior as the topic kernel evaluated it live.
+        const double own_ck = std::max(n_ck - 1, 0.0);
+        for (int t = 0; t < T; ++t) {
+          const size_t at = (static_cast<size_t>(c) * T + t) * K + k;
+          probe(log_nckt_eps_[at],
+                std::log(state_->r_n_ckt(c, k, t) + epsilon));
+          const double own_ckt =
+              std::max(state_->r_n_ckt(c, k, t) - 1.0, 0.0);
+          probe(own_prior_[at],
+                std::log(own_ck + alpha_) +
+                    std::log((own_ckt + epsilon) / (own_ck + teps_)));
+        }
+      }
+    }
+    for (int v = 0; v < V; ++v) {
+      for (int k = 0; k < K; ++k) {
+        probe(log_nkv_beta_[static_cast<size_t>(v) * K + k],
+              std::log(state_->r_n_kv(k, v) + beta));
+      }
+    }
+    for (int k = 0; k < K; ++k) {
+      const double base = state_->r_n_k(k) + vbeta_;
+      probe(lgamma_nk_vbeta_[static_cast<size_t>(k)], cold::LGamma(base));
+      double acc = 0.0;
+      for (int len = 0; len <= max_post_len_; ++len) {
+        if (len > 0) acc += std::log(base + (len - 1));
+        const size_t at = static_cast<size_t>(len) * K + k;
+        probe(denom_[at], acc);
+        // The own-excluded length term as the topic kernel evaluated it
+        // live: an lgamma-table ascending factorial on the sparse path,
+        // one live lgamma against the cached lgamma(n_k + Vbeta) on the
+        // dense path.
+        const int64_t own_nk = std::max(state_->r_n_k(k) - len, 0);
+        probe(own_denom_[at],
+              sparse_ ? lgamma_tab_.LogAscFactorial(own_nk, len)
+                      : cold::LGamma(base) - cold::LGamma(own_nk + vbeta_));
+      }
+    }
+    for (size_t n = 0; n < log_kv_beta_.size(); ++n) {
+      probe(log_kv_beta_.At(static_cast<int64_t>(n)),
+            std::log(static_cast<double>(n) + beta));
+    }
+    if (use_network_) {
+      const double lambda1 = config_.lambda1;
+      for (int c = 0; c < C; ++c) {
+        for (int c2 = 0; c2 < C; ++c2) {
+          const double n = state_->r_n_cc(c, c2);
+          const double w = (n + lambda1) / (n + lambda0_ + lambda1);
+          probe(w_link_[static_cast<size_t>(c) * C + c2], w);
+          probe(w_link_in_[static_cast<size_t>(c2) * C + c], w);
+        }
+      }
+    }
+    return drift;
   }
 
   /// Superstep-boundary reduction: folds every worker's delta buffer into
@@ -282,10 +382,26 @@ class ColdVertexProgram {
     return v;
   }
 
+  /// ClampNonNeg for an integer count used as a table index.
+  static int32_t ClampCount(int32_t n, Scratch* scratch) {
+    if (n < 0) {
+      scratch->clamps++;
+      return 0;
+    }
+    return n;
+  }
+
   /// \brief Rebuilds the derived-value caches from the canonical counters
   /// (the parallel analogue of the serial sampler's RebuildDerivedTables).
-  /// Runs under the superstep barrier while the counters are stable; only
-  /// the K*V word-log table is big enough to parallelize.
+  /// Runs under the superstep barrier while the counters are stable, with
+  /// every loop but the C*C link table spread over the pool.
+  ///
+  /// The own-excluded tables (own_prior_, own_denom_) hold the topic
+  /// kernel's terms at a post's own frozen cell: that post contributes
+  /// exactly one post at (c0, k0, t) and `len` tokens of n_k0, so each term
+  /// is a function of frozen integers. Every entry is computed with the
+  /// expression the kernel used to evaluate live, so a read is
+  /// bit-identical to the call it replaces (MaxDerivedTableDrift).
   void RebuildDerivedCaches(cold::ThreadPool* pool) {
     COLD_TRACE_SPAN("parallel/cache_rebuild");
     const int C = config_.num_communities;
@@ -293,23 +409,35 @@ class ColdVertexProgram {
     const int T = posts_.num_time_slices();
     const int V = state_->V();
     const double epsilon = config_.epsilon;
-    for (int c = 0; c < C; ++c) {
-      for (int k = 0; k < K; ++k) {
-        const double n_ck = state_->r_n_ck(c, k);
-        const double n_c = state_->r_n_c(c);
-        // Transposed [k*C + c]: the community kernel scans c for a fixed k.
-        comm_factor_[static_cast<size_t>(k) * C + c] =
-            (n_ck + alpha_) / ((n_c + kalpha_) * (n_ck + teps_));
-        topic_ck_[static_cast<size_t>(c) * K + k] =
-            std::log(n_ck + alpha_) - std::log(n_ck + teps_);
-        // Transposed [(c*T + t)*K + k]: the topic kernel scans k for a
-        // fixed (c, t).
-        for (int t = 0; t < T; ++t) {
-          log_nckt_eps_[(static_cast<size_t>(c) * T + t) * K + k] =
-              std::log(state_->r_n_ckt(c, k, t) + epsilon);
-        }
-      }
-    }
+    pool->ParallelFor(
+        static_cast<size_t>(C) * static_cast<size_t>(K),
+        [this, C, K, T, epsilon](size_t begin, size_t end, size_t) {
+          for (size_t r = begin; r < end; ++r) {
+            const int c = static_cast<int>(r / static_cast<size_t>(K));
+            const int k = static_cast<int>(r % static_cast<size_t>(K));
+            const int32_t count_ck = state_->r_n_ck(c, k);
+            const double n_ck = count_ck;
+            const double n_c = state_->r_n_c(c);
+            // Transposed [k*C + c]: the community kernel scans c for a
+            // fixed k.
+            comm_factor_[static_cast<size_t>(k) * C + c] =
+                (n_ck + alpha_) / ((n_c + kalpha_) * (n_ck + teps_));
+            topic_ck_[static_cast<size_t>(c) * K + k] =
+                std::log(n_ck + alpha_) - std::log(n_ck + teps_);
+            const double own_ck = std::max(count_ck - 1, 0);
+            const double log_own_ck = std::log(own_ck + alpha_);
+            // Transposed [(c*T + t)*K + k]: the topic kernel scans k for a
+            // fixed (c, t).
+            for (int t = 0; t < T; ++t) {
+              const int32_t n_ckt = state_->r_n_ckt(c, k, t);
+              const size_t at = (static_cast<size_t>(c) * T + t) * K + k;
+              log_nckt_eps_[at] = std::log(n_ckt + epsilon);
+              const double own_ckt = std::max(n_ckt - 1, 0);
+              own_prior_[at] = log_own_ck + std::log((own_ckt + epsilon) /
+                                                     (own_ck + teps_));
+            }
+          }
+        });
     // Transposed [v*K + k]: the word loop adds one contiguous K-row per
     // token instead of K scattered loads — the hottest reads of the topic
     // kernel.
@@ -317,26 +445,35 @@ class ColdVertexProgram {
                       [this, K](size_t begin, size_t end, size_t) {
                         for (size_t v = begin; v < end; ++v) {
                           for (int k = 0; k < K; ++k) {
-                            log_nkv_beta_[v * K + k] = std::log(
-                                state_->r_n_kv(k, static_cast<int>(v)) +
-                                config_.beta);
+                            log_nkv_beta_[v * K + k] = log_kv_beta_.At(
+                                state_->r_n_kv(k, static_cast<int>(v)));
                           }
                         }
                       });
-    // Length-denominator table, transposed [len*K + k]: log ascending
-    // factorial of (n_k + V*beta) over `len` steps, built incrementally so
-    // the whole table costs one log per cell. Makes the per-post length
-    // term a contiguous K-row lookup for every topic except the post's own.
-    for (int k = 0; k < K; ++k) {
-      const double base = state_->r_n_k(k) + vbeta_;
-      lgamma_nk_vbeta_[k] = cold::LGamma(base);
-      double acc = 0.0;
-      denom_[static_cast<size_t>(k)] = 0.0;
-      for (int len = 1; len <= max_post_len_; ++len) {
-        acc += std::log(base + (len - 1));
-        denom_[static_cast<size_t>(len) * K + k] = acc;
-      }
-    }
+    // Length-denominator tables, transposed [len*K + k]. denom_ is the log
+    // ascending factorial of (n_k + V*beta) over `len` steps, built
+    // incrementally so the whole table costs one log per cell; own_denom_
+    // is the same term with the post's own `len` tokens removed from n_k.
+    pool->ParallelFor(
+        static_cast<size_t>(K), [this, K](size_t begin, size_t end, size_t) {
+          for (size_t k = begin; k < end; ++k) {
+            const int32_t n_k = state_->r_n_k(static_cast<int>(k));
+            const double base = n_k + vbeta_;
+            lgamma_nk_vbeta_[k] = cold::LGamma(base);
+            double acc = 0.0;
+            denom_[k] = 0.0;
+            for (int len = 1; len <= max_post_len_; ++len) {
+              acc += std::log(base + (len - 1));
+              denom_[static_cast<size_t>(len) * K + k] = acc;
+            }
+            for (int len = 0; len <= max_post_len_; ++len) {
+              const int32_t own_nk = std::max(n_k - len, 0);
+              own_denom_[static_cast<size_t>(len) * K + k] =
+                  sparse_ ? lgamma_tab_.LogAscFactorial(own_nk, len)
+                          : lgamma_nk_vbeta_[k] - cold::LGamma(own_nk + vbeta_);
+            }
+          }
+        });
     if (use_network_) {
       const double lambda1 = config_.lambda1;
       for (int c = 0; c < C; ++c) {
@@ -566,40 +703,26 @@ class ColdVertexProgram {
     // draw kept c0; the frozen word/length counts contain it at k0 always.)
     const auto word_pairs = posts_.word_pairs(d);
 
-    // Exact own-excluded log-weight at the post's frozen topic k0, all
-    // terms recomputed live against the frozen counters.
+    // Exact own-excluded log-weight at the post's frozen topic k0. The
+    // (c, k0) prior cell holds this post only when the community draw kept
+    // c0; the word and length terms always hold it. All but repeated words
+    // are reads of the per-superstep own-excluded and log-count tables.
+    const size_t own_cell = (static_cast<size_t>(c1) * T + t) * K + k0;
     auto eval_own = [&]() -> double {
-      double own;
-      if (c1 == c0) {
-        double n_ck = ClampNonNeg(state_->r_n_ck(c1, k0) - 1, scratch);
-        double n_ckt = ClampNonNeg(state_->r_n_ckt(c1, k0, t) - 1, scratch);
-        own = std::log(n_ck + alpha_) +
-              std::log((n_ckt + epsilon) / (n_ck + teps_));
-      } else {
-        own = topic_ck_[static_cast<size_t>(c1) * K + k0] +
-              log_nckt_eps_[(static_cast<size_t>(c1) * T + t) * K + k0];
-      }
+      double own = c1 == c0 ? own_prior_[own_cell]
+                            : topic_ck_[static_cast<size_t>(c1) * K + k0] +
+                                  log_nckt_eps_[own_cell];
       for (const auto& [w, cnt] : word_pairs) {
-        double base =
-            ClampNonNeg(state_->r_n_kv(k0, w) - cnt, scratch) + beta;
-        own += cold::LogAscendingFactorial(base, cnt);
-      }
-      if (sparse_) {
-        // Own-excluded denominator via two lgamma-table reads.
-        int64_t nk = state_->r_n_k(k0) - len;
-        if (nk < 0) {
-          scratch->clamps++;
-          nk = 0;
+        if (cnt == 1) {
+          own += log_kv_beta_.At(
+              ClampCount(state_->r_n_kv(k0, w) - 1, scratch));
+        } else {
+          double base =
+              ClampNonNeg(state_->r_n_kv(k0, w) - cnt, scratch) + beta;
+          own += cold::LogAscendingFactorial(base, cnt);
         }
-        own -= lgamma_tab_.LogAscFactorial(nk, len);
-      } else {
-        // Denominator with own words removed: lgamma(n_k + Vbeta) is
-        // cached, leaving a single live lgamma per post.
-        double base = ClampNonNeg(state_->r_n_k(k0) - len, scratch) + vbeta_;
-        own -=
-            lgamma_nk_vbeta_[static_cast<size_t>(k0)] - cold::LGamma(base);
       }
-      return own;
+      return own - own_denom_[static_cast<size_t>(len) * K + k0];
     };
 
     int k1;
@@ -751,12 +874,21 @@ class ColdVertexProgram {
   std::vector<double> log_nkv_beta_;    // [v*K+k] log(n_kv+b)
   std::vector<double> lgamma_nk_vbeta_; // [k] lgamma(n_k+Vb)
   std::vector<double> denom_;           // [len*K+k] log asc. factorial table
+  // Own-excluded twins read at a post's own frozen cell (see
+  // RebuildDerivedCaches): the (c, k, t) prior with one post removed, and
+  // the length denominator with `len` tokens removed from n_k.
+  std::vector<double> own_prior_;       // [(c*T+t)*K+k]
+  std::vector<double> own_denom_;       // [len*K+k]
   std::vector<double> w_link_;          // [c*C+c2] (n_cc+l1)/(n_cc+l0+l1)
   std::vector<double> w_link_in_;       // [c2*C+c] transposed copy
 
+  // log(n + beta) for integer n_kv, built once: the source of
+  // log_nkv_beta_ and of the own-excluded word term.
+  LogCountTable log_kv_beta_;
+
   // Sparse topic path (sparse_topic_kernel.h): per-(c, t) alias proposals
   // rebuilt every superstep from the frozen counters, and the lgamma table
-  // the own-excluded length term reads. Delta mode only.
+  // the own-excluded length table is built from. Delta mode only.
   bool sparse_ = false;
   int sparse_mh_steps_ = 2;
   TopicAliasBank alias_bank_;
@@ -1074,6 +1206,10 @@ cold::Status ParallelColdTrainer::EngineRestoreSamplerStates(
 
 void ParallelColdTrainer::EngineSetSuperstepIndex(int64_t index) {
   engine_->set_superstep_index(index);
+}
+
+double ParallelColdTrainer::MaxDerivedTableDrift() const {
+  return program_ != nullptr ? program_->MaxDerivedTableDrift() : 0.0;
 }
 
 ColdEstimates ParallelColdTrainer::Estimates() const {

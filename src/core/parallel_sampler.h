@@ -6,18 +6,20 @@
 // edges carrying the link community indicators (s, s').
 //
 // Counter placement follows Alg 2: per-user membership counts n_ic and
-// per-time counts n_ckt are vertex-owned and rebuilt in the gather/apply
-// phases each superstep; the low-dimensional global counters (n_ck, n_kv,
-// n_k, n_cc) are shared aggregates broadcast at superstep boundaries (the
-// engine accounts that traffic).
+// per-time counts n_ckt are vertex-owned; the low-dimensional global
+// counters (n_ck, n_kv, n_k, n_cc) are shared aggregates broadcast at
+// superstep boundaries (the engine accounts that traffic). Only the legacy
+// mode recounts n_ic and n_ckt in the gather/apply phases: the delta merge
+// keeps them exact, so delta mode skips that phase.
 //
 // Scatter draws new assignments with Eqs. (1)-(3). In the default
 // delta-table mode the canonical counters stay frozen for the whole phase:
 // each worker reads them contention-free, records its +/- updates in a
 // private delta buffer, and the buffers are merged at the superstep
 // boundary — deterministic for a fixed seed regardless of worker count, and
-// free of the fetch_add hot spot. Derived log/lgamma caches are rebuilt
-// once per superstep from the stable counts (DESIGN.md §10). The legacy
+// free of the fetch_add hot spot. Derived log/lgamma caches, including the
+// own-excluded terms at each post's frozen cell, are rebuilt once per
+// superstep from the stable counts (DESIGN.md §10). The legacy
 // shared-atomic mode (live counts, per-token logs) remains selectable via
 // EngineOptions::legacy_shared_counters for A/B benchmarking.
 #pragma once
@@ -115,9 +117,9 @@ class ParallelColdTrainer {
 
   // --- distributed execution hooks (src/dist) -----------------------------
   //
-  // A distributed node replicates the full model state, runs the gather and
-  // apply phases in full (exact recompute from replicated assignments), and
-  // scatters only the chunks it owns. RunSuperstepSharded defers the delta
+  // A distributed node replicates the full model state and scatters only
+  // the chunks it owns; like the single-process delta mode it runs no
+  // gather/apply recount. RunSuperstepSharded defers the delta
   // merge and exports the node's sparse update; after the coordinator merges
   // all nodes' updates in rank order, ApplyGlobalUpdate installs the merged
   // result on every node, keeping the replicas in lockstep. Chunk RNG
@@ -148,6 +150,17 @@ class ParallelColdTrainer {
   /// rewrites) and advances supersteps_run(). Rewrites for this node's own
   /// edges are idempotent re-writes of values scatter already stored.
   cold::Status ApplyGlobalUpdate(const SuperstepUpdate& update);
+
+  /// \brief Largest |cached - live| over every per-superstep derived table
+  /// (prior, word, length, own-excluded and link tables, plus the log-count
+  /// tables), each against the live expression the kernel would otherwise
+  /// evaluate on the current canonical counters; the parallel analogue of
+  /// ColdGibbsSampler::MaxDerivedTableDrift. Tables are rebuilt from the
+  /// frozen counters at the start of each superstep, so the probe reads
+  /// exactly 0.0 while those counters stand: after RunSuperstepSharded and
+  /// before ApplyGlobalUpdate. After a merged superstep it measures how far
+  /// the counters moved since. 0.0 before Init() and in legacy mode.
+  double MaxDerivedTableDrift() const;
 
   /// \brief Appendix-A estimates from the current counters.
   ColdEstimates Estimates() const;

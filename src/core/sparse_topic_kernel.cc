@@ -13,6 +13,15 @@ void LGammaTable::Build(double offset, int64_t max_n) {
   }
 }
 
+void LogCountTable::Build(double offset, int64_t max_n) {
+  offset_ = offset;
+  const int64_t entries = std::min(max_n + 1, LGammaTable::kMaxEntries);
+  table_.resize(static_cast<size_t>(std::max<int64_t>(entries, 0)));
+  for (size_t n = 0; n < table_.size(); ++n) {
+    table_[n] = std::log(static_cast<double>(n) + offset_);
+  }
+}
+
 void TopicAliasBank::Reset(int num_communities, int num_time_slices,
                            int num_topics, int rebuild_budget) {
   num_communities_ = num_communities;

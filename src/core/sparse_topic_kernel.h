@@ -78,6 +78,34 @@ class LGammaTable {
   std::vector<double> table_;
 };
 
+/// \brief Integer-indexed log table: At(n) = log(n + offset).
+///
+/// The sibling of LGammaTable for the log(count + prior) terms of the
+/// collapsed conditionals, such as log(n_kv + β): the counts are integers
+/// bounded by corpus statistics, so every such log is a read.
+/// Entries are computed by the exact expression At() replaces, so a read is
+/// bit-identical to the live call; arguments past the end (or negative)
+/// fall back to the live log.
+class LogCountTable {
+ public:
+  /// \brief Builds L[n] for n in [0, max_n], capped at
+  /// LGammaTable::kMaxEntries.
+  void Build(double offset, int64_t max_n);
+
+  double At(int64_t n) const {
+    if (n >= 0 && n < static_cast<int64_t>(table_.size())) {
+      return table_[static_cast<size_t>(n)];
+    }
+    return std::log(static_cast<double>(n) + offset_);
+  }
+
+  size_t size() const { return table_.size(); }
+
+ private:
+  double offset_ = 0.0;
+  std::vector<double> table_;
+};
+
 /// \brief Per-(community, time) alias tables over the Eq. (3) prior mass,
 /// with lazy budgeted rebuilds.
 ///

@@ -1,9 +1,9 @@
 // Multi-process distributed COLD training (DESIGN.md §12).
 //
-// Execution model: every node replicates the full model state and runs the
-// gather/apply phases in full (exact recompute from replicated
-// assignments); scatter is sharded by chunk ownership derived from the
-// greedy vertex partition. Each superstep every node exports its sparse
+// Execution model: every node replicates the full model state (the merged
+// update keeps every replica's counters exact, so no node runs a
+// gather/apply recount); scatter is sharded by chunk ownership derived from
+// the greedy vertex partition. Each superstep every node exports its sparse
 // count deltas + assignment rewrites; the rank-0 coordinator collects them
 // in rank order, merges (per-cell int32 sums commute, so the merged table
 // equals the single-process superstep-boundary merge exactly), and

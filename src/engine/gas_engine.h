@@ -14,13 +14,17 @@
 //             keyed by (superstep, chunk) so results are bit-identical
 //             across repeats AND worker counts.
 //
-// Programs may additionally provide two optional phase hooks, detected by
+// Programs may additionally provide optional phase hooks, detected by
 // duck typing:
 //   void PreScatter(cold::ThreadPool*);   // after apply, before scatter —
 //                                         // e.g. rebuild derived caches
 //   void PostScatter(cold::ThreadPool*);  // after scatter, before comm
 //                                         // accounting — e.g. merge
 //                                         // per-worker delta tables
+//   bool GatherActive() const;            // false skips gather + apply —
+//                                         // for programs whose merge
+//                                         // already keeps vertex state
+//                                         // exact
 //
 // Cluster simulation: vertices are placed on `options.num_nodes` simulated
 // machines by a Partitioner. Phases execute on `num_nodes * threads_per_node`
@@ -31,6 +35,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -85,6 +90,21 @@ template <typename Program>
 concept HasPostScatter = requires(Program p, cold::ThreadPool* pool) {
   p.PostScatter(pool);
 };
+template <typename Program>
+concept HasGatherActive = requires(const Program& p) {
+  { p.GatherActive() } -> std::convertible_to<bool>;
+};
+
+/// Whether this superstep runs gather + apply (always, unless the program
+/// opts out through GatherActive()).
+template <typename Program>
+bool GatherActive(const Program& program) {
+  if constexpr (HasGatherActive<Program>) {
+    return program.GatherActive();
+  } else {
+    return true;
+  }
+}
 
 }  // namespace internal
 
@@ -345,27 +365,10 @@ class GasEngine {
     // for synchronous execution).
     double ga = 0.0;
     if constexpr (Program::kGatherEdges != GatherEdges::kNone) {
-      cold::ScopedTimer timer(ga);
-      size_t nv = static_cast<size_t>(graph_->num_vertices());
-      pool_.ParallelFor(nv, [this](size_t begin, size_t end, size_t) {
-        for (size_t v = begin; v < end; ++v) {
-          auto vid = static_cast<VertexId>(v);
-          auto acc = program_->GatherInit();
-          if constexpr (Program::kGatherEdges == GatherEdges::kIn ||
-                        Program::kGatherEdges == GatherEdges::kAll) {
-            for (EdgeId e : graph_->in_edges(vid)) {
-              program_->Gather(*graph_, vid, e, &acc);
-            }
-          }
-          if constexpr (Program::kGatherEdges == GatherEdges::kOut ||
-                        Program::kGatherEdges == GatherEdges::kAll) {
-            for (EdgeId e : graph_->out_edges(vid)) {
-              program_->Gather(*graph_, vid, e, &acc);
-            }
-          }
-          program_->Apply(graph_, vid, acc);
-        }
-      });
+      if (internal::GatherActive(*program_)) {
+        cold::ScopedTimer timer(ga);
+        RunGatherApply();
+      }
     }
     stats_.gather_seconds += ga * 0.5;
     stats_.apply_seconds += ga * 0.5;
@@ -396,6 +399,31 @@ class GasEngine {
     if (options.oversubscribe) return std::max<size_t>(1, want);
     size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
     return std::max<size_t>(1, std::min(want, hw));
+  }
+
+  /// \brief The fused gather + apply pass: one parallel sweep over
+  /// vertices, each reducing its incident edges and applying the result.
+  void RunGatherApply() {
+    size_t nv = static_cast<size_t>(graph_->num_vertices());
+    pool_.ParallelFor(nv, [this](size_t begin, size_t end, size_t) {
+      for (size_t v = begin; v < end; ++v) {
+        auto vid = static_cast<VertexId>(v);
+        auto acc = program_->GatherInit();
+        if constexpr (Program::kGatherEdges == GatherEdges::kIn ||
+                      Program::kGatherEdges == GatherEdges::kAll) {
+          for (EdgeId e : graph_->in_edges(vid)) {
+            program_->Gather(*graph_, vid, e, &acc);
+          }
+        }
+        if constexpr (Program::kGatherEdges == GatherEdges::kOut ||
+                      Program::kGatherEdges == GatherEdges::kAll) {
+          for (EdgeId e : graph_->out_edges(vid)) {
+            program_->Gather(*graph_, vid, e, &acc);
+          }
+        }
+        program_->Apply(graph_, vid, acc);
+      }
+    });
   }
 
   /// \brief The scatter phase shared by sync supersteps and async sweeps:

@@ -222,8 +222,14 @@ void ModelService::InstallReplicas(
   next->format = std::move(format);
   next->replicas = std::move(replicas);
 
+  // After the swap `installed` holds the previous generation, released
+  // (if no request still pins it) outside the lock.
+  std::shared_ptr<const RouterState> installed = std::move(next);
   auto swap_start = std::chrono::steady_clock::now();
-  router_.store(std::move(next), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> swap_lock(router_mutex_);
+    router_.swap(installed);
+  }
   ServiceMetrics().reload_swap->Observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     swap_start)

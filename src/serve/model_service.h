@@ -22,8 +22,9 @@
 // Hot reload is an O(1) generation pointer swap: the new RouterState is
 // fully constructed off to the side (for COLDARN1 arena snapshots the
 // replicas are zero-copy views into one shared mmap), then installed with
-// a single atomic store — cold/serve/reload_swap_seconds measures exactly
-// that store, which is why the p99 reload stall is microseconds. Requests
+// a single pointer swap under a mutex that guards nothing else —
+// cold/serve/reload_swap_seconds measures exactly that swap, which is why
+// the p99 reload stall is microseconds. Requests
 // pin the RouterState they loaded, so a reload never invalidates an
 // in-flight computation and old snapshots free themselves when their last
 // request completes.
@@ -166,11 +167,12 @@ class ModelService {
   HttpResponse HandleReload(const HttpRequest& request);
 
   std::shared_ptr<const RouterState> state() const {
-    return router_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(router_mutex_);
+    return router_;
   }
 
   /// Builds the next generation around `replicas` and installs it with
-  /// one atomic store (timed by cold/serve/reload_swap_seconds).
+  /// one pointer swap (timed by cold/serve/reload_swap_seconds).
   void InstallReplicas(
       std::vector<std::shared_ptr<const core::ColdPredictor>> replicas,
       std::string format);
@@ -195,9 +197,15 @@ class ModelService {
   const ModelServiceOptions options_;
   const int num_replicas_;
 
-  std::atomic<std::shared_ptr<const RouterState>> router_;
+  /// The current generation. A plain shared_ptr behind a mutex held only
+  /// to copy or swap the pointer: libstdc++ 12's
+  /// std::atomic<std::shared_ptr> releases its internal lock with a
+  /// relaxed RMW after reading the pointer, so a concurrent store races
+  /// with that read (ThreadSanitizer reports it under hot reload).
+  mutable std::mutex router_mutex_;
+  std::shared_ptr<const RouterState> router_;
   std::atomic<int64_t> generation_{0};
-  /// Serializes reloads (the swap itself is a single atomic store).
+  /// Serializes reloads (the swap itself holds only router_mutex_).
   std::mutex reload_mutex_;
 
   /// One sharded posterior cache per replica, stable across reloads

@@ -159,9 +159,11 @@ int RandomSampler::LogCategorical(std::span<const double> log_weights) {
         UniformInt(static_cast<uint32_t>(log_weights.size())));
   }
   double total = 0.0;
-  // A scratch buffer would avoid this allocation, but callers in hot loops
-  // use Categorical with ratio-form weights instead.
-  std::vector<double> w(log_weights.size());
+  // Per-thread scratch: the dense topic kernels call this once per post, so
+  // a per-call vector would be one heap allocation per post. Categorical
+  // never re-enters here, so the buffer cannot alias.
+  thread_local std::vector<double> w;
+  w.resize(log_weights.size());
   for (size_t i = 0; i < log_weights.size(); ++i) {
     w[i] = std::exp(log_weights[i] - max_lw);
     total += w[i];

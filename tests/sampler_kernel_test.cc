@@ -5,7 +5,9 @@
 // ColdConfig::vocab_size over the training-split max word id.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/alias_table.h"
@@ -686,6 +688,23 @@ TEST(LGammaTableTest, MatchesLogAscendingFactorial) {
   EXPECT_DOUBLE_EQ(table.At(5000), LGamma(5000.0 + 7.3));
 }
 
+// ------------------------------------------------------ LogCountTable ----
+
+TEST(LogCountTableTest, MatchesLiveLogBitForBit) {
+  for (double offset : {0.01, 0.5, 7.3}) {
+    LogCountTable table;
+    table.Build(offset, 300);
+    ASSERT_EQ(table.size(), 301u);
+    // Inside the table and past its end (the live fallback).
+    for (int64_t n = 0; n < 1000; ++n) {
+      const double live = std::log(static_cast<double>(n) + offset);
+      EXPECT_EQ(std::bit_cast<uint64_t>(table.At(n)),
+                std::bit_cast<uint64_t>(live))
+          << "offset=" << offset << " n=" << n;
+    }
+  }
+}
+
 // ------------------------------------------------- Derived-cache drift ---
 
 TEST(DerivedCacheDriftTest, ZeroAfterSweepsAndDetectsTampering) {
@@ -703,6 +722,49 @@ TEST(DerivedCacheDriftTest, ZeroAfterSweepsAndDetectsTampering) {
     EXPECT_GT(sampler.MaxDerivedTableDrift(), 0.0) << "sparse=" << sparse;
     sampler.mutable_state().n_ck(0, 0) -= 1;
     EXPECT_EQ(sampler.MaxDerivedTableDrift(), 0.0) << "sparse=" << sparse;
+  }
+}
+
+TEST(DerivedCacheDriftTest, ParallelZeroAfterSuperstepsAndDetectsTampering) {
+  const auto& ds = TestData();
+  for (bool sparse : {false, true}) {
+    for (int threads : {1, 3}) {
+      ColdConfig config = sparse ? SparseModelConfig() : TestModelConfig();
+      config.iterations = 8;
+      config.burn_in = 0;
+      engine::EngineOptions options;
+      options.threads_per_node = threads;
+      options.oversubscribe = true;
+      ParallelColdTrainer trainer(config, ds.posts, &ds.interactions, options);
+      ASSERT_TRUE(trainer.Init().ok());
+      for (int s = 0; s < 3; ++s) trainer.RunSuperstep();
+      // A sharded superstep rebuilds the tables from the frozen counters
+      // and leaves those counters standing (its deltas wait for
+      // ApplyGlobalUpdate), so every table entry, the own-excluded and
+      // log-count tables included, must equal its live expression exactly.
+      std::vector<uint8_t> all_chunks(
+          static_cast<size_t>(trainer.NumScatterChunks()), 1);
+      SuperstepUpdate update;
+      ASSERT_TRUE(trainer.RunSuperstepSharded(all_chunks, &update).ok());
+      EXPECT_EQ(trainer.MaxDerivedTableDrift(), 0.0)
+          << "sparse=" << sparse << " threads=" << threads;
+
+      // The probe must see one counter moved under the tables.
+      const ColdState dims = trainer.StateSnapshot();
+      const ParallelColdState layout(dims.U(), dims.C(), dims.K(), dims.T(),
+                                     dims.V(), /*num_posts=*/0,
+                                     /*num_links=*/0);
+      const uint32_t n_ck00 = static_cast<uint32_t>(layout.dx_n_ck(0, 0));
+      SuperstepUpdate tamper;
+      tamper.count_deltas = {{n_ck00, 1}};
+      ASSERT_TRUE(trainer.ApplyGlobalUpdate(tamper).ok());
+      EXPECT_GT(trainer.MaxDerivedTableDrift(), 0.0)
+          << "sparse=" << sparse << " threads=" << threads;
+      tamper.count_deltas = {{n_ck00, -1}};
+      ASSERT_TRUE(trainer.ApplyGlobalUpdate(tamper).ok());
+      EXPECT_EQ(trainer.MaxDerivedTableDrift(), 0.0)
+          << "sparse=" << sparse << " threads=" << threads;
+    }
   }
 }
 

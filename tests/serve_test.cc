@@ -562,10 +562,14 @@ TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   // Two distinct snapshots on disk.
   core::ColdEstimates model_a = RandomEstimates(7);   // == estimates_
   core::ColdEstimates model_b = RandomEstimates(99);
+  // Per-process names: ctest -j runs the Epoll and Blocking cases at once.
+  const std::string pid = std::to_string(::getpid());
   std::string path_a =
-      (fs::temp_directory_path() / "cold_serve_model_a.bin").string();
+      (fs::temp_directory_path() / ("cold_serve_model_a_" + pid + ".bin"))
+          .string();
   std::string path_b =
-      (fs::temp_directory_path() / "cold_serve_model_b.bin").string();
+      (fs::temp_directory_path() / ("cold_serve_model_b_" + pid + ".bin"))
+          .string();
   ASSERT_TRUE(core::SaveEstimates(model_a, path_a).ok());
   ASSERT_TRUE(core::SaveEstimates(model_b, path_b).ok());
   core::ColdPredictor direct_a(model_a, 5);
