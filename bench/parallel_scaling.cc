@@ -4,8 +4,8 @@
 // Measures, at two data scales:
 //   - a strong-scaling thread series (1 .. hardware threads): per-superstep
 //     tokens/sec and links/sec plus speedup over the 1-thread run;
-//   - the delta-table scatter vs the legacy shared-atomic mode at the
-//     maximum thread count (the contention + per-token-log A/B);
+//   - delta-table throughput at the maximum thread count, as the fastest
+//     of at least 8 supersteps;
 //   - the PR 4 serial sampler on the same data, so the parallel numbers are
 //     anchored to the single-core baseline;
 //   - partitioner communication accounting at num_nodes = 4: comm bytes and
@@ -125,7 +125,7 @@ serve::Json RunScale(const Scale& scale) {
                               : 0.0;
   };
 
-  // --- strong-scaling thread series (delta-table mode) ---
+  // --- strong-scaling thread series ---
   const int hw_threads = HardwareThreads();
   const int max_threads = BenchThreads();
   serve::Json thread_series = serve::Json::MakeArray();
@@ -155,48 +155,20 @@ serve::Json RunScale(const Scale& scale) {
   out.Set("threads", thread_series);
   bench::PrintSeries("tokens/sec", tokens_per_sec_series, "%.0f");
 
-  // --- delta vs legacy shared-atomic A/B at max threads ---
-  // The two trainers alternate superstep-by-superstep so host-wide speed
-  // shifts (shared machine) hit both modes equally; min-of-steps then
-  // filters preemption outliers from each.
+  // --- delta-table throughput at max threads ---
+  // More supersteps than a series point, so min-of-steps has more samples
+  // to filter preemption outliers from.
   {
-    engine::EngineOptions delta_options;
-    delta_options.threads_per_node = max_threads;
-    delta_options.oversubscribe = max_threads > hw_threads;
-    engine::EngineOptions legacy_options = delta_options;
-    legacy_options.legacy_shared_counters = true;
-    core::ParallelColdTrainer delta_trainer(config, ds.posts,
-                                            &ds.interactions, delta_options);
-    core::ParallelColdTrainer legacy_trainer(config, ds.posts,
-                                             &ds.interactions,
-                                             legacy_options);
-    auto st = delta_trainer.Init();
-    if (st.ok()) st = legacy_trainer.Init();
-    if (!st.ok()) {
-      std::fprintf(stderr, "A/B init failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    double delta_min = 0.0;
-    double legacy_min = 0.0;
-    const int reps = std::max(scale.supersteps, 8);
-    for (int rep = 0; rep < reps; ++rep) {
-      Stopwatch delta_watch;
-      delta_trainer.RunSuperstep();
-      double delta_step = delta_watch.ElapsedSeconds();
-      Stopwatch legacy_watch;
-      legacy_trainer.RunSuperstep();
-      double legacy_step = legacy_watch.ElapsedSeconds();
-      if (rep == 0 || delta_step < delta_min) delta_min = delta_step;
-      if (rep == 0 || legacy_step < legacy_min) legacy_min = legacy_step;
-    }
-    double delta_tps = rate(delta_min, tokens);
-    double legacy_tps = rate(legacy_min, tokens);
+    core::ColdConfig delta_config = config;
+    delta_config.iterations = std::max(scale.supersteps, 8);
+    engine::EngineOptions options;
+    options.threads_per_node = max_threads;
+    options.oversubscribe = max_threads > hw_threads;
+    double delta_tps = rate(
+        RunParallel(delta_config, ds, options).min_superstep_seconds, tokens);
     out.Set("delta_tokens_per_sec", delta_tps);
-    out.Set("legacy_tokens_per_sec", legacy_tps);
-    double speedup_vs_legacy = legacy_tps > 0.0 ? delta_tps / legacy_tps : 0.0;
-    out.Set("speedup_vs_legacy", speedup_vs_legacy);
-    std::printf("delta %.0f vs legacy %.0f tokens/sec (%.2fx)\n", delta_tps,
-                legacy_tps, speedup_vs_legacy);
+    std::printf("delta tables at %d threads: %.0f tokens/sec\n", max_threads,
+                delta_tps);
   }
 
   // --- PR 4 serial sampler anchor ---
@@ -276,9 +248,7 @@ bool ValidateJson(const std::string& path) {
         return false;
       }
     }
-    for (const char* key :
-         {"delta_tokens_per_sec", "legacy_tokens_per_sec",
-          "serial_tokens_per_sec", "speedup_vs_legacy"}) {
+    for (const char* key : {"delta_tokens_per_sec", "serial_tokens_per_sec"}) {
       const serve::Json* value = scale.Find(key);
       if (value == nullptr || !value->is_number() ||
           !(value->as_number() > 0.0)) {

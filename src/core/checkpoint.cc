@@ -517,8 +517,8 @@ cold::Status ColdGibbsSampler::RestoreState(const std::string& payload) {
 
 // --- parallel trainer state -----------------------------------------------
 //
-// Same run header and state section (via a plain ColdState snapshot), plus
-// the per-worker RNG streams of the GAS engine. Restore refuses a
+// Same run header and state section (ParallelColdState is a ColdState),
+// plus the per-worker RNG streams of the GAS engine. Restore refuses a
 // worker-count mismatch: each worker owns a deterministic PCG32 stream, so
 // resuming with a different pool size cannot continue the same sequence.
 
@@ -529,10 +529,9 @@ cold::Status ParallelColdTrainer::SerializeState(std::string* out) const {
   }
   out->clear();
   PayloadWriter w(out);
-  const ColdState snapshot = state_->ToColdState();
-  WriteRunHeader(w, config_, snapshot, use_network_, lambda0_);
+  WriteRunHeader(w, config_, *state_, use_network_, lambda0_);
   w.I32(supersteps_run_);
-  WriteStateSection(w, snapshot);
+  WriteStateSection(w, *state_);
   const std::vector<cold::RngState> workers = EngineSamplerStates();
   w.U32(static_cast<uint32_t>(workers.size()));
   for (const cold::RngState& s : workers) WriteRngState(w, s);
@@ -546,8 +545,8 @@ cold::Status ParallelColdTrainer::RestoreState(const std::string& payload) {
   }
   PayloadReader r(payload);
   // Template snapshot supplies the expected dimensions; the restored
-  // assignments and counters are installed into it, validated, and only
-  // then swapped into the shared atomic state.
+  // assignments and counters are read into it and validated before they
+  // replace the trainer's state.
   ColdState snapshot = state_->ToColdState();
   double lambda0 = lambda0_;
   COLD_RETURN_NOT_OK(

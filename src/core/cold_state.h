@@ -18,7 +18,7 @@ namespace cold::core {
 ///
 /// Counter layout is row-major flat storage; accessors document the paper's
 /// notation. The same struct backs the serial and the parallel sampler (the
-/// latter reads/writes it through atomics over the same memory layout).
+/// latter's ParallelColdState adds per-worker delta tables on top).
 class ColdState {
  public:
   /// Builds zeroed state with the given dimensions.

@@ -17,13 +17,12 @@
 namespace cold::core {
 
 namespace {
-constexpr size_t kMaxWorkers = 256;
 
 /// Per-superstep throughput telemetry for the parallel trainer, mirroring
 /// the serial sampler's cold/gibbs/* gauges. stale_clamp_total counts every
-/// negative-count clamp in the sampling kernels: nonzero only when the
-/// legacy shared-counter mode races (the delta-table mode reads frozen
-/// counts whose own-contribution exclusion is exact, so it stays at zero).
+/// negative-count clamp in the sampling kernels. The kernels read frozen
+/// counts whose own-contribution exclusion is exact, so it stays at zero
+/// unless the counters fall out of step with the assignments.
 struct ParallelMetrics {
   obs::Counter* supersteps;
   obs::Gauge* superstep_seconds;
@@ -48,20 +47,21 @@ ParallelMetrics& Metrics() {
 class ColdVertexProgram {
  public:
   using Graph = engine::PropertyGraph<ColdVertex, ColdEdge>;
-  using GatherType = std::vector<int32_t>;
-  static constexpr engine::GatherEdges kGatherEdges = engine::GatherEdges::kAll;
+  // No gather/apply recount: Init, the boundary merge, ApplyDeltaEntries
+  // and checkpoint restore keep n_ic and n_ckt exact (CheckInvariants
+  // proves it), so the engine compiles the phase out.
+  static constexpr engine::GatherEdges kGatherEdges =
+      engine::GatherEdges::kNone;
 
   ColdVertexProgram(const ColdConfig& config, const text::PostStore& posts,
                     const graph::Digraph* links, ParallelColdState* state,
-                    const Graph* graph, bool use_network, double lambda0,
-                    bool legacy_shared_counters)
+                    const Graph* graph, bool use_network, double lambda0)
       : config_(config),
         posts_(posts),
         links_(links),
         state_(state),
         graph_(graph),
         use_network_(use_network),
-        legacy_(legacy_shared_counters),
         lambda0_(lambda0),
         // Derived prior constants hoisted once — the scatter kernels run per
         // token per superstep and should not re-resolve them.
@@ -69,9 +69,7 @@ class ColdVertexProgram {
         alpha_(config.ResolvedAlpha()),
         kalpha_(config.num_topics * config.ResolvedAlpha()),
         teps_(posts.num_time_slices() * config.epsilon),
-        vbeta_(state->V() * config.beta),
-        scratch_(kMaxWorkers) {
-    if (legacy_) return;
+        vbeta_(state->V() * config.beta) {
     const size_t C = static_cast<size_t>(config.num_communities);
     const size_t K = static_cast<size_t>(config.num_topics);
     const size_t T = static_cast<size_t>(posts.num_time_slices());
@@ -113,120 +111,39 @@ class ColdVertexProgram {
     }
   }
 
-  GatherType GatherInit() const { return {}; }
-
-  /// Gather/apply recount n_ic and n_ckt from the assignments, which only
-  /// the legacy mode needs (its racing fetch_adds can lose updates). In
-  /// delta mode Init, the boundary merge, ApplyDeltaEntries and checkpoint
-  /// restore keep both tables exact (CheckInvariants proves it), so the
-  /// engine skips the phase.
-  bool GatherActive() const { return legacy_; }
-
-  // Gather: lines 1-10 of Alg 2 — community counts for user vertices,
-  // community-topic counts for time vertices.
-  void Gather(const Graph& g, engine::VertexId v, engine::EdgeId e,
-              GatherType* acc) const {
-    const ColdVertex& vd = g.vertex_data(v);
-    const ColdEdge& ed = g.edge_data(e);
-    const int C = config_.num_communities;
-    if (vd.is_user) {
-      if (acc->empty()) acc->assign(static_cast<size_t>(C), 0);
-      if (ed.type == ColdEdge::Type::kUserTime) {
-        // Only the user-side endpoint gathers posts.
-        if (g.src(e) == v) {
-          for (text::PostId d : ed.posts) {
-            (*acc)[static_cast<size_t>(
-                state_->post_community[static_cast<size_t>(d)])]++;
-          }
-        }
-      } else {
-        // A user-user edge contributes s to its src and s' to its dst.
-        if (g.src(e) == v) {
-          (*acc)[static_cast<size_t>(
-              state_->link_src_community[static_cast<size_t>(ed.link)])]++;
-        } else {
-          (*acc)[static_cast<size_t>(
-              state_->link_dst_community[static_cast<size_t>(ed.link)])]++;
-        }
-      }
-    } else {
-      // Time vertex: count (c, k) pairs of incident posts.
-      const int K = config_.num_topics;
-      if (acc->empty()) acc->assign(static_cast<size_t>(C) * K, 0);
-      if (ed.type == ColdEdge::Type::kUserTime) {
-        for (text::PostId d : ed.posts) {
-          int c = state_->post_community[static_cast<size_t>(d)];
-          int k = state_->post_topic[static_cast<size_t>(d)];
-          (*acc)[static_cast<size_t>(c) * K + k]++;
-        }
-      }
-    }
-  }
-
-  // Apply: lines 12-17 of Alg 2 — write the rebuilt vertex-owned counters.
-  void Apply(Graph* g, engine::VertexId v, const GatherType& acc) {
-    const ColdVertex& vd = g->vertex_data(v);
-    const int C = config_.num_communities;
-    if (vd.is_user) {
-      for (int c = 0; c < C; ++c) {
-        int32_t value = acc.empty() ? 0 : acc[static_cast<size_t>(c)];
-        state_->n_ic(vd.index, c).store(value, std::memory_order_relaxed);
-      }
-    } else {
-      const int K = config_.num_topics;
-      for (int c = 0; c < C; ++c) {
-        for (int k = 0; k < K; ++k) {
-          int32_t value =
-              acc.empty() ? 0 : acc[static_cast<size_t>(c) * K + k];
-          state_->n_ckt(c, k, vd.index)
-              .store(value, std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-
   // Scatter: lines 19-26 of Alg 2 — draw new assignments.
   void Scatter(Graph* g, engine::EdgeId e, engine::WorkerContext* ctx) {
     ColdEdge& ed = g->edge_data(e);
-    Scratch& scratch = GetScratch(ctx->worker_index);
-    if (legacy_) {
-      if (ed.type == ColdEdge::Type::kUserTime) {
-        for (text::PostId d : ed.posts) {
-          SamplePostCommunity(d, &scratch, ctx->sampler);
-          SamplePostTopic(d, &scratch, ctx->sampler);
-        }
-      } else if (use_network_) {
-        SampleLink(ed.link, &scratch, ctx->sampler);
-      }
-      return;
-    }
+    Scratch& scratch = scratch_[ctx->worker_index];
     int32_t* delta = state_->delta(ctx->worker_index);
     if (ed.type == ColdEdge::Type::kUserTime) {
       for (text::PostId d : ed.posts) {
-        SamplePostDelta(d, delta, &scratch, ctx->sampler);
+        SamplePost(d, delta, &scratch, ctx->sampler);
       }
     } else if (use_network_) {
-      SampleLinkDelta(ed.link, delta, &scratch, ctx->sampler);
+      SampleLink(ed.link, delta, &scratch, ctx->sampler);
     }
   }
 
-  /// Delta mode setup, run after apply under the superstep barrier: the
-  /// canonical counters are final for this superstep, so rebuild the
-  /// derived log/lgamma caches from them and make sure every pool worker
-  /// has a delta buffer.
+  /// Superstep setup, run under the barrier before scatter: the canonical
+  /// counters are final for this superstep, so rebuild the derived
+  /// log/lgamma caches from them and make sure every pool worker has a
+  /// delta buffer and a scratch slot.
   void PreScatter(cold::ThreadPool* pool) {
-    if (legacy_) return;
     state_->EnsureDeltaBuffers(pool->num_threads());
+    while (scratch_.size() < pool->num_threads()) {
+      scratch_.push_back(
+          {std::vector<double>(static_cast<size_t>(config_.num_communities)),
+           std::vector<double>(static_cast<size_t>(config_.num_topics))});
+    }
     RebuildDerivedCaches(pool);
     assert(MaxDerivedTableDrift() == 0.0);
   }
 
   /// \brief Largest |table entry - live expression| over every derived
   /// table, each probed against the expression the kernel evaluates (or
-  /// used to evaluate live) over the current canonical counters. 0.0 in
-  /// legacy mode, which keeps no tables.
+  /// used to evaluate live) over the current canonical counters.
   double MaxDerivedTableDrift() const {
-    if (legacy_) return 0.0;
     const int C = config_.num_communities;
     const int K = config_.num_topics;
     const int T = posts_.num_time_slices();
@@ -312,7 +229,7 @@ class ColdVertexProgram {
       s.clamps = 0;
     }
     if (clamps > 0) Metrics().stale_clamps->Increment(clamps);
-    if (legacy_ || defer_merge_) return;
+    if (defer_merge_) return;
     COLD_TRACE_SPAN("parallel/merge");
     const size_t n = state_->delta_size();
     pool->ParallelFor(n, [this](size_t begin, size_t end, size_t) {
@@ -325,7 +242,7 @@ class ColdVertexProgram {
   /// \brief Distributed mode: leave scattered deltas in the per-worker
   /// buffers at the superstep boundary instead of merging them, so the
   /// trainer can drain them into the node's exchange payload
-  /// (RunSuperstepSharded). Delta mode only.
+  /// (RunSuperstepSharded).
   void set_defer_delta_merge(bool defer) { defer_merge_ = defer; }
 
   /// Bytes of the global aggregator state broadcast each superstep:
@@ -362,15 +279,6 @@ class ColdVertexProgram {
     /// shared counter.
     int64_t clamps = 0;
   };
-
-  Scratch& GetScratch(size_t worker) {
-    Scratch& s = scratch_[worker];
-    if (s.weights_c.empty()) {
-      s.weights_c.resize(static_cast<size_t>(config_.num_communities));
-      s.log_weights_k.resize(static_cast<size_t>(config_.num_topics));
-    }
-    return s;
-  }
 
   /// Floors a count at zero, tallying the clamp (stale-count observability;
   /// see cold/parallel/stale_clamp_total).
@@ -510,151 +418,13 @@ class ColdVertexProgram {
     }
   }
 
-  // Eq. (1) with own-contribution exclusion against shared counters.
-  void SamplePostCommunity(text::PostId d, Scratch* scratch,
-                           cold::RandomSampler* sampler) {
-    const int C = config_.num_communities;
-    const double epsilon = config_.epsilon;
-    const int c0 = state_->post_community[static_cast<size_t>(d)];
-    const int k = state_->post_topic[static_cast<size_t>(d)];
-    const int t = posts_.time(d);
-    const text::UserId i = posts_.author(d);
-
-    for (int c = 0; c < C; ++c) {
-      int own = (c == c0) ? 1 : 0;
-      double n_ick = state_->r_n_ic(i, c) - own;
-      double n_ck = state_->r_n_ck(c, k) - own;
-      double n_c = state_->r_n_c(c) - own;
-      double n_ckt = state_->r_n_ckt(c, k, t) - own;
-      // Stale counts can transiently dip below zero; clamp (and count).
-      n_ick = ClampNonNeg(n_ick, scratch);
-      n_ck = ClampNonNeg(n_ck, scratch);
-      n_c = ClampNonNeg(n_c, scratch);
-      n_ckt = ClampNonNeg(n_ckt, scratch);
-      scratch->weights_c[static_cast<size_t>(c)] =
-          (n_ick + rho_) * ((n_ck + alpha_) / (n_c + kalpha_)) *
-          ((n_ckt + epsilon) / (n_ck + teps_));
-    }
-    int c1 = sampler->Categorical(scratch->weights_c);
-    if (c1 != c0) {
-      state_->post_community[static_cast<size_t>(d)] =
-          static_cast<int32_t>(c1);
-      state_->n_ic(i, c0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ic(i, c1).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ck(c0, k).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ck(c1, k).fetch_add(1, std::memory_order_relaxed);
-      state_->n_c(c0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_c(c1).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ckt(c0, k, t).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ckt(c1, k, t).fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Eq. (3) with own-contribution exclusion.
-  void SamplePostTopic(text::PostId d, Scratch* scratch,
-                       cold::RandomSampler* sampler) {
-    const int K = config_.num_topics;
-    const double beta = config_.beta;
-    const double epsilon = config_.epsilon;
-    const int c = state_->post_community[static_cast<size_t>(d)];
-    const int k0 = state_->post_topic[static_cast<size_t>(d)];
-    const int t = posts_.time(d);
-    const int len = posts_.length(d);
-
-    const auto word_pairs = posts_.word_pairs(d);
-
-    // Same lgamma-collapsed form as the serial TopicLogWeights; here the
-    // counters are shared atomics so the log terms are computed live, but
-    // the ascending-factorial loops still collapse to lgamma pairs.
-    for (int k = 0; k < K; ++k) {
-      int own = (k == k0) ? 1 : 0;
-      double n_ck = ClampNonNeg(state_->r_n_ck(c, k) - own, scratch);
-      double n_ckt = ClampNonNeg(state_->r_n_ckt(c, k, t) - own, scratch);
-      double lw = std::log(n_ck + alpha_) +
-                  std::log((n_ckt + epsilon) / (n_ck + teps_));
-      for (const auto& [w, cnt] : word_pairs) {
-        double base =
-            ClampNonNeg(state_->r_n_kv(k, w) - own * cnt, scratch) + beta;
-        lw += cold::LogAscendingFactorial(base, cnt);
-      }
-      double denom =
-          ClampNonNeg(state_->r_n_k(k) - own * len, scratch) + vbeta_;
-      lw -= cold::LogAscendingFactorial(denom, len);
-      scratch->log_weights_k[static_cast<size_t>(k)] = lw;
-    }
-    int k1 = sampler->LogCategorical(scratch->log_weights_k);
-    if (k1 != k0) {
-      state_->post_topic[static_cast<size_t>(d)] = static_cast<int32_t>(k1);
-      state_->n_ck(c, k0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ck(c, k1).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ckt(c, k0, t).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ckt(c, k1, t).fetch_add(1, std::memory_order_relaxed);
-      for (text::WordId w : posts_.words(d)) {
-        state_->n_kv(k0, w).fetch_sub(1, std::memory_order_relaxed);
-        state_->n_kv(k1, w).fetch_add(1, std::memory_order_relaxed);
-      }
-      state_->n_k(k0).fetch_sub(len, std::memory_order_relaxed);
-      state_->n_k(k1).fetch_add(len, std::memory_order_relaxed);
-    }
-  }
-
-  // Eq. (2), alternating conditionals (cheap and race-tolerant).
-  void SampleLink(graph::EdgeId link, Scratch* scratch,
+  // Eqs. (1)+(3). The canonical counters are frozen at their pre-superstep
+  // values, so this post's own contribution sits exactly at its frozen
+  // assignment (c0, k0): exclusion is exact (no clamps can fire) and every
+  // term not involving (c0, k0) comes from the per-superstep caches
+  // instead of live logs. Updates go to the worker's delta buffer.
+  void SamplePost(text::PostId d, int32_t* delta, Scratch* scratch,
                   cold::RandomSampler* sampler) {
-    const int C = config_.num_communities;
-    const double lambda1 = config_.lambda1;
-    const graph::Edge& edge = links_->edge(link);
-    const int s0 = state_->link_src_community[static_cast<size_t>(link)];
-    const int s20 = state_->link_dst_community[static_cast<size_t>(link)];
-
-    // s | s'.
-    for (int cc = 0; cc < C; ++cc) {
-      int own = (cc == s0) ? 1 : 0;
-      double n_ic =
-          ClampNonNeg(state_->r_n_ic(edge.src, cc) - own, scratch);
-      double n = ClampNonNeg(state_->r_n_cc(cc, s20) - own, scratch);
-      scratch->weights_c[static_cast<size_t>(cc)] =
-          (n_ic + rho_) * (n + lambda1) / (n + lambda0_ + lambda1);
-    }
-    int s1 = sampler->Categorical(scratch->weights_c);
-
-    // s' | s (own contribution now sits at (s1, s20) only if s1 == s0).
-    for (int cc = 0; cc < C; ++cc) {
-      int own = (cc == s20) ? 1 : 0;
-      double n_ic =
-          ClampNonNeg(state_->r_n_ic(edge.dst, cc) - own, scratch);
-      int own_pair = (s1 == s0 && cc == s20) ? 1 : 0;
-      double n = ClampNonNeg(state_->r_n_cc(s1, cc) - own_pair, scratch);
-      scratch->weights_c[static_cast<size_t>(cc)] =
-          (n_ic + rho_) * (n + lambda1) / (n + lambda0_ + lambda1);
-    }
-    int s21 = sampler->Categorical(scratch->weights_c);
-
-    if (s1 != s0) {
-      state_->link_src_community[static_cast<size_t>(link)] =
-          static_cast<int32_t>(s1);
-      state_->n_ic(edge.src, s0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ic(edge.src, s1).fetch_add(1, std::memory_order_relaxed);
-    }
-    if (s21 != s20) {
-      state_->link_dst_community[static_cast<size_t>(link)] =
-          static_cast<int32_t>(s21);
-      state_->n_ic(edge.dst, s20).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ic(edge.dst, s21).fetch_add(1, std::memory_order_relaxed);
-    }
-    if (s1 != s0 || s21 != s20) {
-      state_->n_cc(s0, s20).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_cc(s1, s21).fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Eqs. (1)+(3) in delta mode. The canonical counters are frozen at their
-  // pre-superstep values, so this post's own contribution sits exactly at
-  // its frozen assignment (c0, k0): exclusion is exact (no clamps can fire)
-  // and every term not involving (c0, k0) comes from the per-superstep
-  // caches instead of live logs. Updates go to the worker's delta buffer.
-  void SamplePostDelta(text::PostId d, int32_t* delta, Scratch* scratch,
-                       cold::RandomSampler* sampler) {
     const int C = config_.num_communities;
     const int K = config_.num_topics;
     const int T = posts_.num_time_slices();
@@ -788,11 +558,11 @@ class ColdVertexProgram {
     }
   }
 
-  // Eq. (2) in delta mode: same alternating conditionals as SampleLink, but
-  // against frozen counts (exact own-exclusion) with the link weight ratio
+  // Eq. (2) as alternating conditionals (s | s', then s' | s) against
+  // frozen counts (exact own-exclusion), with the link weight ratio
   // (n_cc + l1) / (n_cc + l0 + l1) cached per community pair.
-  void SampleLinkDelta(graph::EdgeId link, int32_t* delta, Scratch* scratch,
-                       cold::RandomSampler* sampler) {
+  void SampleLink(graph::EdgeId link, int32_t* delta, Scratch* scratch,
+                  cold::RandomSampler* sampler) {
     const int C = config_.num_communities;
     const double lambda1 = config_.lambda1;
     const graph::Edge& edge = links_->edge(link);
@@ -854,7 +624,6 @@ class ColdVertexProgram {
   ParallelColdState* state_;
   const Graph* graph_;
   bool use_network_;
-  bool legacy_;    // legacy shared-atomic mode (A/B baseline)
   bool defer_merge_ = false;  // distributed mode: skip the boundary merge
   double lambda0_;
   double rho_;     // resolved membership prior
@@ -862,9 +631,9 @@ class ColdVertexProgram {
   double kalpha_;  // K * alpha
   double teps_;    // T * epsilon
   double vbeta_;   // V * beta
-  std::vector<Scratch> scratch_;
+  std::vector<Scratch> scratch_;  // one per pool worker (PreScatter)
 
-  // Delta-mode derived caches, rebuilt once per superstep from the frozen
+  // Derived caches, rebuilt once per superstep from the frozen
   // canonical counters (RebuildDerivedCaches). Layouts are transposed to
   // put the kernel's scan dimension innermost (see the rebuild comments).
   int max_post_len_ = 0;
@@ -888,7 +657,7 @@ class ColdVertexProgram {
 
   // Sparse topic path (sparse_topic_kernel.h): per-(c, t) alias proposals
   // rebuilt every superstep from the frozen counters, and the lgamma table
-  // the own-excluded length table is built from. Delta mode only.
+  // the own-excluded length table is built from.
   bool sparse_ = false;
   int sparse_mh_steps_ = 2;
   TopicAliasBank alias_bank_;
@@ -991,15 +760,15 @@ cold::Status ParallelColdTrainer::Init() {
     state_->post_community[static_cast<size_t>(d)] = c;
     state_->post_topic[static_cast<size_t>(d)] = k;
     text::UserId i = posts_.author(d);
-    state_->n_ic(i, c).fetch_add(1, std::memory_order_relaxed);
-    state_->n_i(i).fetch_add(1, std::memory_order_relaxed);
-    state_->n_ck(c, k).fetch_add(1, std::memory_order_relaxed);
-    state_->n_c(c).fetch_add(1, std::memory_order_relaxed);
-    state_->n_ckt(c, k, posts_.time(d)).fetch_add(1, std::memory_order_relaxed);
+    state_->n_ic(i, c)++;
+    state_->n_i(i)++;
+    state_->n_ck(c, k)++;
+    state_->n_c(c)++;
+    state_->n_ckt(c, k, posts_.time(d))++;
     for (text::WordId w : posts_.words(d)) {
-      state_->n_kv(k, w).fetch_add(1, std::memory_order_relaxed);
+      state_->n_kv(k, w)++;
     }
-    state_->n_k(k).fetch_add(posts_.length(d), std::memory_order_relaxed);
+    state_->n_k(k) += posts_.length(d);
   }
   if (use_network_) {
     for (graph::EdgeId e = 0; e < links_->num_edges(); ++e) {
@@ -1010,17 +779,17 @@ cold::Status ParallelColdTrainer::Init() {
       state_->link_src_community[static_cast<size_t>(e)] = s;
       state_->link_dst_community[static_cast<size_t>(e)] = s2;
       const graph::Edge& edge = links_->edge(e);
-      state_->n_ic(edge.src, s).fetch_add(1, std::memory_order_relaxed);
-      state_->n_i(edge.src).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ic(edge.dst, s2).fetch_add(1, std::memory_order_relaxed);
-      state_->n_i(edge.dst).fetch_add(1, std::memory_order_relaxed);
-      state_->n_cc(s, s2).fetch_add(1, std::memory_order_relaxed);
+      state_->n_ic(edge.src, s)++;
+      state_->n_i(edge.src)++;
+      state_->n_ic(edge.dst, s2)++;
+      state_->n_i(edge.dst)++;
+      state_->n_cc(s, s2)++;
     }
   }
 
   program_ = std::make_unique<ColdVertexProgram>(
       config_, posts_, links_, state_.get(), graph_.get(), use_network_,
-      lambda0_, engine_options_.legacy_shared_counters);
+      lambda0_);
   engine_ = std::make_unique<
       engine::GasEngine<ColdVertex, ColdEdge, ColdVertexProgram>>(
       graph_.get(), program_.get(), engine_options_);
@@ -1037,14 +806,14 @@ cold::Status ParallelColdTrainer::Train() {
   for (text::PostId d = 0; d < posts_.num_posts(); ++d) {
     total_tokens += posts_.length(d);
   }
-  // One engine iteration at a time (respecting the execution mode) so the
-  // per-superstep observer sees every boundary. Resume-aware: a trainer
+  // One superstep at a time so the per-superstep observer sees every
+  // boundary. Resume-aware: a trainer
   // restored from a checkpoint runs only the remaining supersteps.
   while (supersteps_run_ < config_.iterations) {
     double superstep_seconds = 0.0;
     {
       cold::ScopedTimer timer(superstep_seconds);
-      engine_->Run(1);
+      engine_->RunSuperstep();
     }
     supersteps_run_++;
     ParallelMetrics& metrics = Metrics();
@@ -1121,11 +890,6 @@ cold::Status ParallelColdTrainer::RunSuperstepSharded(
   if (!initialized_) {
     return cold::Status::FailedPrecondition(
         "call Init() before RunSuperstepSharded()");
-  }
-  if (engine_options_.legacy_shared_counters) {
-    return cold::Status::FailedPrecondition(
-        "distributed execution requires the delta-table mode "
-        "(legacy_shared_counters must be off)");
   }
   if (static_cast<int64_t>(chunk_mask.size()) != NumScatterChunks()) {
     return cold::Status::InvalidArgument(
@@ -1213,8 +977,7 @@ double ParallelColdTrainer::MaxDerivedTableDrift() const {
 }
 
 ColdEstimates ParallelColdTrainer::Estimates() const {
-  ColdState snapshot = state_->ToColdState();
-  return ExtractEstimates(snapshot, config_, lambda0_);
+  return ExtractEstimates(*state_, config_, lambda0_);
 }
 
 ColdState ParallelColdTrainer::StateSnapshot() const {

@@ -8,20 +8,17 @@
 // Counter placement follows Alg 2: per-user membership counts n_ic and
 // per-time counts n_ckt are vertex-owned; the low-dimensional global
 // counters (n_ck, n_kv, n_k, n_cc) are shared aggregates broadcast at
-// superstep boundaries (the engine accounts that traffic). Only the legacy
-// mode recounts n_ic and n_ckt in the gather/apply phases: the delta merge
-// keeps them exact, so delta mode skips that phase.
+// superstep boundaries (the engine accounts that traffic). Alg 2 recounts
+// n_ic and n_ckt in its gather/apply phases; here the delta merge keeps
+// them exact, so the program runs no gather/apply phase.
 //
-// Scatter draws new assignments with Eqs. (1)-(3). In the default
-// delta-table mode the canonical counters stay frozen for the whole phase:
-// each worker reads them contention-free, records its +/- updates in a
-// private delta buffer, and the buffers are merged at the superstep
-// boundary — deterministic for a fixed seed regardless of worker count, and
-// free of the fetch_add hot spot. Derived log/lgamma caches, including the
+// Scatter draws new assignments with Eqs. (1)-(3). The canonical counters
+// stay frozen for the whole phase: each worker reads them without
+// contention, records its +/- updates in a private delta buffer, and the
+// buffers are merged at the superstep boundary — deterministic for a fixed
+// seed regardless of worker count. Derived log/lgamma caches, including the
 // own-excluded terms at each post's frozen cell, are rebuilt once per
-// superstep from the stable counts (DESIGN.md §10). The legacy
-// shared-atomic mode (live counts, per-token logs) remains selectable via
-// EngineOptions::legacy_shared_counters for A/B benchmarking.
+// superstep from the stable counts (DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -118,7 +115,7 @@ class ParallelColdTrainer {
   // --- distributed execution hooks (src/dist) -----------------------------
   //
   // A distributed node replicates the full model state and scatters only
-  // the chunks it owns; like the single-process delta mode it runs no
+  // the chunks it owns; like the single-process trainer it runs no
   // gather/apply recount. RunSuperstepSharded defers the delta
   // merge and exports the node's sparse update; after the coordinator merges
   // all nodes' updates in rank order, ApplyGlobalUpdate installs the merged
@@ -142,7 +139,6 @@ class ParallelColdTrainer {
   /// byte (mask size must equal NumScatterChunks()), leaving the canonical
   /// counters untouched, and fills `out` with this node's sparse update.
   /// Does not advance supersteps_run(); pair with ApplyGlobalUpdate.
-  /// Requires delta-table mode (rejects legacy_shared_counters).
   cold::Status RunSuperstepSharded(const std::vector<uint8_t>& chunk_mask,
                                    SuperstepUpdate* out);
 
@@ -159,7 +155,7 @@ class ParallelColdTrainer {
   /// frozen counters at the start of each superstep, so the probe reads
   /// exactly 0.0 while those counters stand: after RunSuperstepSharded and
   /// before ApplyGlobalUpdate. After a merged superstep it measures how far
-  /// the counters moved since. 0.0 before Init() and in legacy mode.
+  /// the counters moved since. 0.0 before Init().
   double MaxDerivedTableDrift() const;
 
   /// \brief Appendix-A estimates from the current counters.

@@ -1,21 +1,15 @@
-// Counter state for the parallel sampler. Mirrors ColdState's layout with
-// std::atomic cells plus, for the default delta-table execution mode, one
-// plain int32 delta buffer per worker.
+// Counter state for the parallel sampler: ColdState's plain int32 tables
+// plus one int32 delta buffer per worker.
 //
-// Two update disciplines share this state:
-//   - delta mode (default): scatter reads the canonical atomics, which are
-//     FROZEN for the whole phase, and accumulates +/-1 updates into its
-//     worker's private delta buffer; the engine merges all buffers into the
-//     canonical tables at the superstep boundary (MergeDeltaRange, striped
-//     across the pool). Counter sums are integer and per-cell, so the merged
-//     result is independent of worker count and chunk scheduling — the basis
-//     of the trainer's multi-worker determinism guarantee (DESIGN.md §10).
-//   - legacy shared-counter mode: concurrent relaxed fetch_add directly on
-//     the atomics (the approximate-parallel Gibbs of §4.3 with live counts),
-//     kept selectable for A/B benchmarking.
+// Scatter reads the canonical tables, which are FROZEN for the whole phase,
+// and accumulates +/-1 updates into its worker's private delta buffer; the
+// engine merges all buffers into the canonical tables at the superstep
+// boundary (MergeDeltaRange, striped across the pool). Counter sums are
+// integer and per-cell, so the merged result is independent of worker count
+// and chunk scheduling — the basis of the trainer's multi-worker
+// determinism guarantee (DESIGN.md §10).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -46,91 +40,30 @@ inline constexpr std::size_t kCacheLineBytes =
 inline constexpr std::size_t kCacheLineBytes = 64;
 #endif
 
-/// \brief One atomic counter padded out to a full cache line, so the small
-/// dense arrays (n_c, n_k) cannot false-share under concurrent updates in
-/// legacy mode (and under the striped merge in delta mode).
-struct alignas(kCacheLineBytes) PaddedCount {
-  std::atomic<int32_t> value{0};
-};
-
-/// \brief Shared mutable counters + assignments for the GAS sampler.
+/// \brief Counters + assignments for the GAS sampler: a ColdState (plain
+/// int32 tables, same layout) plus one delta buffer per worker.
 ///
-/// Assignment vectors are plain (each element is written only by the single
-/// scatter task owning its edge); counters are atomics; delta buffers are
-/// plain per-worker int32 arrays, each cache-line-aligned so no two workers'
-/// buffers share a line.
-class ParallelColdState {
+/// Nothing writes the canonical tables while scatter reads them: scatter
+/// writes only its own edges' assignments and its worker's delta buffer,
+/// each cache-line-aligned so no two workers' buffers share a line.
+/// MergeDeltaRange writes disjoint ranges after the scatter barrier; Init,
+/// ApplyDeltaEntries and RestoreFrom run between supersteps. The engine's
+/// pool barriers order all of them against scatter.
+class ParallelColdState : public ColdState {
  public:
   ParallelColdState(int num_users, int num_communities, int num_topics,
                     int num_time_slices, int vocab_size, int num_posts,
                     int64_t num_links);
 
-  int U() const { return num_users_; }
-  int C() const { return num_communities_; }
-  int K() const { return num_topics_; }
-  int T() const { return num_time_slices_; }
-  int V() const { return vocab_size_; }
-
-  std::vector<int32_t> post_community;
-  std::vector<int32_t> post_topic;
-  std::vector<int32_t> link_src_community;
-  std::vector<int32_t> link_dst_community;
-
-  std::atomic<int32_t>& n_ic(int i, int c) {
-    return n_ic_[static_cast<size_t>(i) * num_communities_ + c];
-  }
-  std::atomic<int32_t>& n_i(int i) { return n_i_[static_cast<size_t>(i)]; }
-  std::atomic<int32_t>& n_ck(int c, int k) {
-    return n_ck_[static_cast<size_t>(c) * num_topics_ + k];
-  }
-  std::atomic<int32_t>& n_c(int c) {
-    return n_c_[static_cast<size_t>(c)].value;
-  }
-  std::atomic<int32_t>& n_ckt(int c, int k, int t) {
-    return n_ckt_[(static_cast<size_t>(c) * num_topics_ + k) *
-                      num_time_slices_ +
-                  t];
-  }
-  std::atomic<int32_t>& n_kv(int k, int v) {
-    return n_kv_[static_cast<size_t>(k) * vocab_size_ + v];
-  }
-  std::atomic<int32_t>& n_k(int k) {
-    return n_k_[static_cast<size_t>(k)].value;
-  }
-  std::atomic<int32_t>& n_cc(int c, int c2) {
-    return n_cc_[static_cast<size_t>(c) * num_communities_ + c2];
-  }
-
-  // Relaxed readers (sampling tolerates slight staleness in legacy mode; in
-  // delta mode the values are frozen during scatter, so these are exact).
-  int32_t r_n_ic(int i, int c) const {
-    return n_ic_[static_cast<size_t>(i) * num_communities_ + c].load(
-        std::memory_order_relaxed);
-  }
-  int32_t r_n_ck(int c, int k) const {
-    return n_ck_[static_cast<size_t>(c) * num_topics_ + k].load(
-        std::memory_order_relaxed);
-  }
-  int32_t r_n_c(int c) const {
-    return n_c_[static_cast<size_t>(c)].value.load(std::memory_order_relaxed);
-  }
-  int32_t r_n_ckt(int c, int k, int t) const {
-    return n_ckt_[(static_cast<size_t>(c) * num_topics_ + k) *
-                      num_time_slices_ +
-                  t]
-        .load(std::memory_order_relaxed);
-  }
-  int32_t r_n_kv(int k, int v) const {
-    return n_kv_[static_cast<size_t>(k) * vocab_size_ + v].load(
-        std::memory_order_relaxed);
-  }
-  int32_t r_n_k(int k) const {
-    return n_k_[static_cast<size_t>(k)].value.load(std::memory_order_relaxed);
-  }
-  int32_t r_n_cc(int c, int c2) const {
-    return n_cc_[static_cast<size_t>(c) * num_communities_ + c2].load(
-        std::memory_order_relaxed);
-  }
+  // Readers for the scatter kernels (the canonical counters are frozen
+  // during scatter, so these are exact).
+  int32_t r_n_ic(int i, int c) const { return n_ic(i, c); }
+  int32_t r_n_ck(int c, int k) const { return n_ck(c, k); }
+  int32_t r_n_c(int c) const { return n_c(c); }
+  int32_t r_n_ckt(int c, int k, int t) const { return n_ckt(c, k, t); }
+  int32_t r_n_kv(int k, int v) const { return n_kv(k, v); }
+  int32_t r_n_k(int k) const { return n_k(k); }
+  int32_t r_n_cc(int c, int c2) const { return n_cc(c, c2); }
 
   // --- per-worker delta tables --------------------------------------------
   //
@@ -149,25 +82,23 @@ class ParallelColdState {
 
   /// Worker `w`'s delta buffer (EnsureDeltaBuffers must cover w).
   int32_t* delta(size_t w) { return deltas_[w].get(); }
-  size_t num_delta_buffers() const { return deltas_.size(); }
 
   size_t dx_n_ic(int i, int c) const {
-    return off_ic_ + static_cast<size_t>(i) * num_communities_ + c;
+    return off_ic_ + static_cast<size_t>(i) * C() + c;
   }
   size_t dx_n_ck(int c, int k) const {
-    return off_ck_ + static_cast<size_t>(c) * num_topics_ + k;
+    return off_ck_ + static_cast<size_t>(c) * K() + k;
   }
   size_t dx_n_c(int c) const { return off_c_ + static_cast<size_t>(c); }
   size_t dx_n_ckt(int c, int k, int t) const {
-    return off_ckt_ +
-           (static_cast<size_t>(c) * num_topics_ + k) * num_time_slices_ + t;
+    return off_ckt_ + (static_cast<size_t>(c) * K() + k) * T() + t;
   }
   size_t dx_n_kv(int k, int v) const {
-    return off_kv_ + static_cast<size_t>(k) * vocab_size_ + v;
+    return off_kv_ + static_cast<size_t>(k) * V() + v;
   }
   size_t dx_n_k(int k) const { return off_k_ + static_cast<size_t>(k); }
   size_t dx_n_cc(int c, int c2) const {
-    return off_cc_ + static_cast<size_t>(c) * num_communities_ + c2;
+    return off_cc_ + static_cast<size_t>(c) * C() + c2;
   }
 
   /// \brief Folds every worker's deltas for flat cells [begin, end) into the
@@ -190,8 +121,8 @@ class ParallelColdState {
   cold::Status ApplyDeltaEntries(
       const std::vector<std::pair<uint32_t, int32_t>>& entries);
 
-  /// \brief Snapshots everything into a plain ColdState (for estimate
-  /// extraction, invariant checks, and checkpoint serialization).
+  /// \brief Copies assignments and counters into a plain ColdState (for
+  /// estimate extraction and invariant checks).
   ColdState ToColdState() const;
 
   /// \brief Installs assignments and counters from a plain ColdState (the
@@ -208,23 +139,8 @@ class ParallelColdState {
   };
   using DeltaBuffer = std::unique_ptr<int32_t[], AlignedDelete>;
 
-  /// The canonical atomic holding flat delta cell `idx`.
-  std::atomic<int32_t>& CanonicalAt(size_t idx);
-
-  int num_users_;
-  int num_communities_;
-  int num_topics_;
-  int num_time_slices_;
-  int vocab_size_;
-
-  std::unique_ptr<std::atomic<int32_t>[]> n_ic_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_i_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_ck_;
-  std::unique_ptr<PaddedCount[]> n_c_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_ckt_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_kv_;
-  std::unique_ptr<PaddedCount[]> n_k_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_cc_;
+  /// The canonical counter holding flat delta cell `idx`.
+  int32_t& CanonicalAt(size_t idx);
 
   // Segment offsets into the flat delta index space, in storage order.
   size_t off_ic_ = 0;

@@ -21,10 +21,6 @@
 //   void PostScatter(cold::ThreadPool*);  // after scatter, before comm
 //                                         // accounting — e.g. merge
 //                                         // per-worker delta tables
-//   bool GatherActive() const;            // false skips gather + apply —
-//                                         // for programs whose merge
-//                                         // already keeps vertex state
-//                                         // exact
 //
 // Cluster simulation: vertices are placed on `options.num_nodes` simulated
 // machines by a Partitioner. Phases execute on `num_nodes * threads_per_node`
@@ -35,7 +31,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -90,22 +85,6 @@ template <typename Program>
 concept HasPostScatter = requires(Program p, cold::ThreadPool* pool) {
   p.PostScatter(pool);
 };
-template <typename Program>
-concept HasGatherActive = requires(const Program& p) {
-  { p.GatherActive() } -> std::convertible_to<bool>;
-};
-
-/// Whether this superstep runs gather + apply (always, unless the program
-/// opts out through GatherActive()).
-template <typename Program>
-bool GatherActive(const Program& program) {
-  if constexpr (HasGatherActive<Program>) {
-    return program.GatherActive();
-  } else {
-    return true;
-  }
-}
-
 }  // namespace internal
 
 /// Edges per scatter chunk. Small enough for dynamic scheduling to even
@@ -113,24 +92,18 @@ bool GatherActive(const Program& program) {
 /// Public (namespace scope) so the distributed layer can compute chunk
 /// ownership that matches the engine's scatter chunking exactly.
 inline constexpr int64_t kScatterChunkEdges = 256;
-/// Chunk RNG streams start far above the legacy per-worker streams
-/// (1..kMaxWorkers) and the trainer's init stream, so no sequence is
-/// reused across purposes.
+/// Chunk RNG streams start far above the per-worker streams (1..number of
+/// pool threads, kept for the v1 checkpoint payload) and the trainer's init
+/// stream, so no sequence is reused across purposes.
 inline constexpr uint64_t kChunkStreamBase = uint64_t{1} << 32;
 
 /// \brief Which incident edges the gather phase visits.
 enum class GatherEdges { kNone, kIn, kOut, kAll };
 
-/// \brief Execution mode: synchronous supersteps (gather/apply/scatter with
-/// barriers) or asynchronous sweeps (scatter-only, dynamic scheduling).
-enum class ExecutionMode { kSync, kAsync };
-
 /// \brief Engine configuration.
 struct EngineOptions {
   /// Simulated cluster size (Fig 13b sweeps this).
   int num_nodes = 1;
-  /// Synchronous GAS supersteps (default) or asynchronous sweeps.
-  ExecutionMode execution = ExecutionMode::kSync;
   /// Worker threads per simulated node; total threads = num_nodes *
   /// threads_per_node, capped at hardware concurrency unless
   /// `oversubscribe` is set.
@@ -149,11 +122,6 @@ struct EngineOptions {
   /// for exercising multi-worker code paths (tests, TSan) on small hosts,
   /// not for throughput.
   bool oversubscribe = false;
-  /// Opt back into the pre-delta-table execution: scatter updates shared
-  /// atomic counters live instead of buffering per-worker deltas. Consumed
-  /// by the COLD vertex program (the engine just carries it); kept for
-  /// benchmarking the contention the delta tables remove.
-  bool legacy_shared_counters = false;
 };
 
 /// \brief Engine execution statistics, reset by each Run call.
@@ -199,17 +167,22 @@ struct WorkerContext {
 ///
 /// `Program` is a duck-typed vertex program providing:
 ///
-///   using GatherType = ...;                 // commutative monoid
 ///   static constexpr GatherEdges kGatherEdges = ...;
-///   GatherType GatherInit() const;
-///   void Gather(const Graph&, VertexId, EdgeId, GatherType*) const;
-///   void Apply(Graph*, VertexId, const GatherType&);
 ///   void Scatter(Graph*, EdgeId, WorkerContext*) ;
 ///   void PostSuperstep(Graph*, int superstep);   // global sync point
 ///
+/// and, unless kGatherEdges is kNone (which compiles the gather/apply phase
+/// out):
+///
+///   using GatherType = ...;                 // commutative monoid
+///   GatherType GatherInit() const;
+///   void Gather(const Graph&, VertexId, EdgeId, GatherType*) const;
+///   void Apply(Graph*, VertexId, const GatherType&);
+///
 /// Scatter runs in parallel over edges; programs are responsible for making
-/// concurrent edge updates safe (COLD uses atomic counters + periodic global
-/// sync, the same approximate-Gibbs semantics as the paper).
+/// concurrent edge updates safe. The COLD program reads counters that stay
+/// frozen for the whole phase and buffers its updates in per-worker delta
+/// tables, which its PostScatter hook merges at the superstep boundary.
 template <typename VData, typename EData, typename Program>
 class GasEngine {
  public:
@@ -322,37 +295,9 @@ class GasEngine {
     return compute + comm + sync;
   }
 
-  /// \brief Runs `supersteps` full iterations in the configured execution
-  /// mode, accumulating stats.
+  /// \brief Runs `supersteps` full iterations, accumulating stats.
   void Run(int supersteps) {
-    for (int s = 0; s < supersteps; ++s) {
-      if (options_.execution == ExecutionMode::kAsync) {
-        RunAsyncSweep();
-      } else {
-        RunSuperstep();
-      }
-    }
-  }
-
-  /// \brief Runs one ASYNCHRONOUS sweep (GraphLab's second execution mode):
-  /// no gather/apply barrier — workers pull edge chunks from a shared
-  /// cursor and scatter against continuously-updated state. The program
-  /// must maintain its own counters inside Scatter (the COLD program does,
-  /// via atomics); gather-rebuilt state is never refreshed here.
-  ///
-  /// Communication model: cut edges still ship their assignment updates,
-  /// but there is no per-superstep aggregator broadcast — global counters
-  /// are exchanged as fine-grained deltas folded into the edge messages.
-  void RunAsyncSweep() {
-    COLD_TRACE_SPAN("engine/async_sweep");
-    auto& metrics = internal::GetEngineMetrics();
-    RunScatterPhase(metrics);
-    int64_t bytes = 2 * stats_.cut_edges * options_.bytes_per_edge_message;
-    stats_.comm_bytes += bytes;
-    metrics.comm_bytes->Increment(bytes);
-    program_->PostSuperstep(graph_, stats_.supersteps);
-    stats_.supersteps++;
-    metrics.supersteps->Increment();
+    for (int s = 0; s < supersteps; ++s) RunSuperstep();
   }
 
   /// \brief Runs one gather/apply/scatter superstep.
@@ -365,10 +310,8 @@ class GasEngine {
     // for synchronous execution).
     double ga = 0.0;
     if constexpr (Program::kGatherEdges != GatherEdges::kNone) {
-      if (internal::GatherActive(*program_)) {
-        cold::ScopedTimer timer(ga);
-        RunGatherApply();
-      }
+      cold::ScopedTimer timer(ga);
+      RunGatherApply();
     }
     stats_.gather_seconds += ga * 0.5;
     stats_.apply_seconds += ga * 0.5;
@@ -426,9 +369,9 @@ class GasEngine {
     });
   }
 
-  /// \brief The scatter phase shared by sync supersteps and async sweeps:
-  /// optional PreScatter hook, chunked dynamic execution over edges, and
-  /// the optional PostScatter hook (timed separately as merge_seconds).
+  /// \brief The scatter phase: optional PreScatter hook, chunked dynamic
+  /// execution over edges, and the optional PostScatter hook (timed
+  /// separately as merge_seconds).
   ///
   /// Determinism: chunk boundaries depend only on the edge count and each
   /// chunk owns RNG stream (superstep * num_chunks + chunk), so the drawn

@@ -250,50 +250,3 @@ TEST(GasEngineTest, ScatterRngIsDeterministicPerWorkerStream) {
 
 }  // namespace
 }  // namespace cold::engine
-
-namespace cold::engine {
-namespace {
-
-TEST(GasEngineAsyncTest, AsyncSweepVisitsEveryEdgeOnce) {
-  auto g = MakeChain(50);
-  DegreeProgram program;
-  EngineOptions options;
-  options.execution = ExecutionMode::kAsync;
-  GasEngine<int, int, DegreeProgram> engine(&g, &program, options);
-  engine.Run(4);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(g.edge_data(e), 4);
-  }
-  EXPECT_EQ(engine.stats().supersteps, 4);
-}
-
-TEST(GasEngineAsyncTest, AsyncSkipsGatherApply) {
-  auto g = MakeChain(5);
-  DegreeProgram program;
-  EngineOptions options;
-  options.execution = ExecutionMode::kAsync;
-  GasEngine<int, int, DegreeProgram> engine(&g, &program, options);
-  engine.RunAsyncSweep();
-  // Vertex data untouched (gather/apply never ran).
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(g.vertex_data(i), 0);
-}
-
-TEST(GasEngineAsyncTest, AsyncChargesNoBroadcast) {
-  auto g = MakeChain(8);
-  DegreeProgram sync_prog, async_prog;
-  EngineOptions sync_options;
-  sync_options.num_nodes = 4;
-  EngineOptions async_options = sync_options;
-  async_options.execution = ExecutionMode::kAsync;
-  auto g2 = MakeChain(8);
-  GasEngine<int, int, DegreeProgram> sync_engine(&g, &sync_prog,
-                                                 sync_options);
-  GasEngine<int, int, DegreeProgram> async_engine(&g2, &async_prog,
-                                                  async_options);
-  sync_engine.Run(1);
-  async_engine.Run(1);
-  EXPECT_LT(async_engine.stats().comm_bytes, sync_engine.stats().comm_bytes);
-}
-
-}  // namespace
-}  // namespace cold::engine

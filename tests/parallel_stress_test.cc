@@ -81,22 +81,5 @@ TEST(ParallelStressTest, LongRunStaysDeterministic) {
   EXPECT_EQ(a.link_dst_community, b.link_dst_community);
 }
 
-TEST(ParallelStressTest, LegacySharedCountersSurviveContention) {
-  // The legacy shared-atomic mode is approximate but must stay structurally
-  // sound (no lost or phantom counts) under the same worker pressure.
-  const auto& ds = StressData();
-  ColdConfig config = StressModelConfig();
-  config.iterations = 60;
-  config.burn_in = 40;
-  engine::EngineOptions options = StressOptions();
-  options.legacy_shared_counters = true;
-  ParallelColdTrainer trainer(config, ds.posts, &ds.interactions, options);
-  ASSERT_TRUE(trainer.Init().ok());
-  ASSERT_TRUE(trainer.Train().ok());
-  ColdState snapshot = trainer.StateSnapshot();
-  auto status = snapshot.CheckInvariants(ds.posts, &ds.interactions, true);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
 }  // namespace
 }  // namespace cold::core

@@ -93,7 +93,7 @@ int Usage(const char* argv0) {
                "usage: %s <dataset-dir> <model-out> [C=8] [K=12] "
                "[--arena-out PATH] "
                "[iterations=150] [--parallel [nodes=4]] [--threads N] "
-               "[--partitioner modulo|greedy] [--legacy-counters] "
+               "[--partitioner modulo|greedy] "
                "[--nodes N [--node-rank R --coordinator HOST:PORT]] "
                "[--max-restarts K] [--heartbeat-interval-ms N] "
                "[--heartbeat-timeout-ms N] [--progress-timeout-ms N] "
@@ -154,7 +154,6 @@ struct Args {
   int progress_timeout_ms = 120000;
   int threads_per_node = 1;
   cold::engine::PartitionerKind partitioner = cold::engine::PartitionerKind::kGreedy;
-  bool legacy_counters = false;
   std::string metrics_out;
   bool trace = false;
   std::string trace_out;
@@ -274,8 +273,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                      kind);
         return false;
       }
-    } else if (std::strcmp(arg, "--legacy-counters") == 0) {
-      args->legacy_counters = true;
     } else if (std::strcmp(arg, "--metrics-out") == 0) {
       if (a + 1 >= argc) {
         std::fprintf(stderr, "--metrics-out requires a file argument\n");
@@ -640,7 +637,6 @@ int RunDistNode(const Args& args, const cold::core::ColdConfig& config,
   dc.cold = config;
   dc.engine.threads_per_node = args.threads_per_node;
   dc.engine.partitioner = args.partitioner;
-  dc.engine.legacy_shared_counters = args.legacy_counters;
   dc.engine.oversubscribe = args.oversubscribe;
   if (!args.checkpoint_dir.empty()) {
     dc.checkpoint.dir =
@@ -983,7 +979,6 @@ int main(int argc, char** argv) {
     options.num_nodes = args.nodes;
     options.threads_per_node = args.threads_per_node;
     options.partitioner = args.partitioner;
-    options.legacy_shared_counters = args.legacy_counters;
     options.oversubscribe = args.oversubscribe;
     core::ParallelColdTrainer trainer(config, dataset.posts,
                                       &dataset.interactions, options);
