@@ -1,7 +1,8 @@
 // Scenario: training at scale on the GAS engine (§4.3). Shows the Fig-4
 // graph abstraction in action: supersteps, engine statistics and the
-// simulated cluster projection, plus a quality check that the parallel
-// estimates match a serial run.
+// simulated cluster projection, plus a quality check that compares the
+// parallel estimates with a serial run's: both read the last sample, and
+// the example prints the measured perplexity gap.
 #include <cstdio>
 
 #include "core/cold.h"
@@ -32,20 +33,22 @@ int main() {
   config.iterations = 60;
   config.burn_in = 0;
 
-  // Serial reference.
+  // Serial reference. Both sides read the last Gibbs sample, so the
+  // comparison is like for like.
   double serial_perplexity = 0.0;
   {
     Stopwatch watch;
     core::ColdGibbsSampler sampler(config, dataset.posts,
                                    &dataset.interactions);
     if (!sampler.Init().ok() || !sampler.Train().ok()) return 1;
-    core::ColdPredictor predictor(sampler.AveragedEstimates());
+    core::ColdPredictor predictor(sampler.EstimatesFromCurrentSample());
     serial_perplexity = predictor.Perplexity(dataset.posts);
     std::printf("\nserial sampler: %.2fs, perplexity %.1f\n",
                 watch.ElapsedSeconds(), serial_perplexity);
   }
 
   // Parallel GAS run on a simulated 4-node cluster.
+  double parallel_perplexity = 0.0;
   {
     engine::EngineOptions options;
     options.num_nodes = 4;
@@ -53,14 +56,15 @@ int main() {
                                       &dataset.interactions, options);
     if (!trainer.Init().ok() || !trainer.Train().ok()) return 1;
     core::ColdPredictor predictor(trainer.Estimates());
+    parallel_perplexity = predictor.Perplexity(dataset.posts);
     std::printf(
         "parallel trainer (4 simulated nodes): %.2fs measured, %.2fs "
         "cluster projection, perplexity %.1f\n",
         trainer.engine_stats().total_seconds(), trainer.SimulatedWallSeconds(),
-        predictor.Perplexity(dataset.posts));
+        parallel_perplexity);
   }
-  std::printf(
-      "\n(parallel estimates should match the serial perplexity within a\n"
-      " few percent — the approximate-parallel Gibbs semantics of §4.3)\n");
+  std::printf("\nparallel vs serial perplexity: %+.1f%%\n",
+              100.0 * (parallel_perplexity - serial_perplexity) /
+                  serial_perplexity);
   return 0;
 }

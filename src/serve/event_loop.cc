@@ -1,4 +1,4 @@
-// The epoll serving core (HttpServer's default mode): a listener thread
+// HttpServer's serving core, an epoll event loop: a listener thread
 // accepts and round-robins connections across N reactor threads. Each
 // reactor owns one edge-triggered epoll fd and the full state of every
 // connection assigned to it — read buffer, write buffer, parser position —
@@ -23,6 +23,7 @@
 // Handlers run on the reactor thread: they are expected to be CPU-short
 // (the ModelService fast path is microseconds), so reactor count bounds
 // handler parallelism, not connection count.
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -62,8 +63,6 @@ struct LoopMetrics {
   obs::Counter* idle_closes;
 };
 
-// Same metric names as the blocking core (the registry dedups), so
-// dashboards don't care which serving core is running.
 LoopMetrics& Metrics() {
   auto& registry = obs::Registry::Global();
   static LoopMetrics metrics{
@@ -73,6 +72,40 @@ LoopMetrics& Metrics() {
       registry.GetCounter("cold/serve/shed_total"),
       registry.GetCounter("cold/serve/idle_closes")};
   return metrics;
+}
+
+/// Opens, binds and listens on 127.0.0.1:`port` (0 = ephemeral); returns
+/// the fd and writes the bound port to `*bound_port`.
+cold::Result<int> OpenListener(int port, int* bound_port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return cold::Status::IOError(std::string("socket: ") +
+                                 std::strerror(errno));
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    cold::Status st =
+        cold::Status::IOError(std::string("bind: ") + std::strerror(errno));
+    ::close(fd);
+    return st;
+  }
+  if (::listen(fd, 512) != 0) {
+    cold::Status st =
+        cold::Status::IOError(std::string("listen: ") + std::strerror(errno));
+    ::close(fd);
+    return st;
+  }
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    *bound_port = ntohs(addr.sin_port);
+  }
+  return fd;
 }
 
 class Reactor {
@@ -398,19 +431,20 @@ class Reactor {
   Clock::time_point next_sweep_ = Clock::now();
 };
 
-class EpollServerImpl : public HttpServerImpl {
+}  // namespace
+
+class HttpServer::Impl {
  public:
-  EpollServerImpl(HttpServerOptions options, HttpHandler handler)
+  Impl(HttpServerOptions options, HttpHandler handler)
       : options_(std::move(options)), handler_(std::move(handler)) {}
 
-  ~EpollServerImpl() override { Stop(); }
+  ~Impl() { Stop(); }
 
-  cold::Status Start() override {
+  cold::Status Start() {
     if (running_.load()) {
       return cold::Status::FailedPrecondition("already running");
     }
-    COLD_ASSIGN_OR_RETURN(listen_fd_,
-                          internal::OpenListener(options_.port, &port_));
+    COLD_ASSIGN_OR_RETURN(listen_fd_, OpenListener(options_.port, &port_));
     // Non-blocking listener: the accept loop drains the whole backlog per
     // poll() wakeup and must get EAGAIN, not block, when it runs dry
     // (accepted fds do not inherit the flag and start out blocking).
@@ -442,7 +476,7 @@ class EpollServerImpl : public HttpServerImpl {
     return cold::Status::OK();
   }
 
-  void Stop() override {
+  void Stop() {
     if (!running_.exchange(false)) return;
     stopping_.store(true, std::memory_order_release);
     if (accept_thread_.joinable()) accept_thread_.join();
@@ -464,11 +498,9 @@ class EpollServerImpl : public HttpServerImpl {
     COLD_LOG(kInfo) << "cold_serve stopped";
   }
 
-  int port() const override { return port_; }
-  bool running() const override {
-    return running_.load(std::memory_order_acquire);
-  }
-  int active_connections() const override {
+  int port() const { return port_; }
+  bool running() const { return running_.load(std::memory_order_acquire); }
+  int active_connections() const {
     return active_connections_.load(std::memory_order_relaxed);
   }
 
@@ -495,8 +527,9 @@ class EpollServerImpl : public HttpServerImpl {
         }
         Metrics().connections->Increment();
 
-        // Shedding is the same policy as the blocking core, answered from
-        // the listener thread while the fd is still in blocking mode.
+        // Shed from the listener thread while the fd is still in blocking
+        // mode: a client told to back off now (503 + Retry-After) beats one
+        // left to time out behind the pile-up.
         if (options_.max_inflight_requests > 0 &&
             static_cast<size_t>(active_connections_.load(
                 std::memory_order_relaxed)) >=
@@ -535,16 +568,17 @@ class EpollServerImpl : public HttpServerImpl {
   std::vector<std::unique_ptr<Reactor>> reactors_;
 };
 
-}  // namespace
+HttpServer::HttpServer(HttpServerOptions options, HttpHandler handler)
+    : impl_(std::make_unique<Impl>(std::move(options), std::move(handler))) {}
 
-namespace internal {
+HttpServer::~HttpServer() = default;
 
-std::unique_ptr<HttpServerImpl> MakeEpollServerImpl(HttpServerOptions options,
-                                                    HttpHandler handler) {
-  return std::make_unique<EpollServerImpl>(std::move(options),
-                                           std::move(handler));
+cold::Status HttpServer::Start() { return impl_->Start(); }
+void HttpServer::Stop() { impl_->Stop(); }
+int HttpServer::port() const { return impl_->port(); }
+bool HttpServer::running() const { return impl_->running(); }
+int HttpServer::active_connections() const {
+  return impl_->active_connections();
 }
-
-}  // namespace internal
 
 }  // namespace cold::serve

@@ -1,11 +1,15 @@
 // Serving-layer tests: JSON parse/serialize, the LRU cache, and the HTTP
 // server driven over a loopback socket — endpoint correctness against
-// direct ColdPredictor calls, concurrent load, hot-reload under load, and
-// malformed input handling.
+// direct ColdPredictor calls, concurrent load, hot-reload under load, load
+// shedding, slow-reader backpressure, and malformed input handling.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +28,7 @@
 #include "serve/lru_cache.h"
 #include "serve/model_service.h"
 #include "util/logging.h"
+#include "util/net_io.h"
 #include "util/rng.h"
 
 namespace cold::serve {
@@ -174,10 +179,8 @@ core::ColdEstimates RandomEstimates(uint64_t seed, int U = 12, int C = 3,
   return est;
 }
 
-// Every endpoint/concurrency/reload/shutdown test runs against both
-// serving cores: the epoll event loop and the legacy blocking pool. The
-// two must be observably identical at the HTTP surface.
-class ServeTest : public ::testing::TestWithParam<ServerMode> {
+// Endpoint/concurrency/reload/shutdown tests against the epoll server.
+class ServeTest : public ::testing::Test {
  protected:
   void StartServer(ModelServiceOptions service_options = {},
                    uint64_t seed = 7) {
@@ -185,11 +188,8 @@ class ServeTest : public ::testing::TestWithParam<ServerMode> {
     service_ = std::make_unique<ModelService>(service_options);
     service_->SetPredictor(
         std::make_shared<const core::ColdPredictor>(estimates_, 3));
-    HttpServerOptions server_options;
-    server_options.mode = GetParam();
-    server_options.num_workers = 8;
     server_ = std::make_unique<HttpServer>(
-        server_options, [this](const HttpRequest& request) {
+        HttpServerOptions{}, [this](const HttpRequest& request) {
           return service_->Handle(request);
         });
     ASSERT_TRUE(server_->Start().ok());
@@ -219,14 +219,7 @@ class ServeTest : public ::testing::TestWithParam<ServerMode> {
   HttpClient client_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ServeTest,
-    ::testing::Values(ServerMode::kEpoll, ServerMode::kBlocking),
-    [](const ::testing::TestParamInfo<ServerMode>& info) {
-      return info.param == ServerMode::kEpoll ? "Epoll" : "Blocking";
-    });
-
-TEST_P(ServeTest, HealthzReportsModelDimensions) {
+TEST_F(ServeTest, HealthzReportsModelDimensions) {
   StartServer();
   auto response = client_.Get("/healthz");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -238,7 +231,7 @@ TEST_P(ServeTest, HealthzReportsModelDimensions) {
             estimates_.V);
 }
 
-TEST_P(ServeTest, DiffusionMatchesDirectPredictor) {
+TEST_F(ServeTest, DiffusionMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {1, 5, 9};
@@ -256,7 +249,7 @@ TEST_P(ServeTest, DiffusionMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
+TEST_F(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {0, 3};
@@ -272,7 +265,7 @@ TEST_P(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, TopicPosteriorMatchesDirectPredictor) {
+TEST_F(ServeTest, TopicPosteriorMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {2, 7, 11};
@@ -287,7 +280,7 @@ TEST_P(ServeTest, TopicPosteriorMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, LinkMatchesDirectPredictor) {
+TEST_F(ServeTest, LinkMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   Json body = PostJson("/v1/link", R"({"source": 1, "target": 9})");
@@ -295,7 +288,7 @@ TEST_P(ServeTest, LinkMatchesDirectPredictor) {
               direct.LinkProbability(1, 9), 1e-9);
 }
 
-TEST_P(ServeTest, TimestampMatchesDirectPredictor) {
+TEST_F(ServeTest, TimestampMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {4, 8};
@@ -311,7 +304,7 @@ TEST_P(ServeTest, TimestampMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, InfluentialCommunitiesRanksAll) {
+TEST_F(ServeTest, InfluentialCommunitiesRanksAll) {
   StartServer();
   auto response =
       client_.Get("/v1/influential_communities?topic=1&n=3&trials=16");
@@ -330,7 +323,7 @@ TEST_P(ServeTest, InfluentialCommunitiesRanksAll) {
   EXPECT_EQ(bad->status_code, 422);
 }
 
-TEST_P(ServeTest, MalformedInputsReturn4xxNotCrash) {
+TEST_F(ServeTest, MalformedInputsReturn4xxNotCrash) {
   StartServer();
   // Malformed JSON body.
   auto r1 = client_.Post("/v1/diffusion", "{not json");
@@ -370,7 +363,7 @@ TEST_P(ServeTest, MalformedInputsReturn4xxNotCrash) {
   EXPECT_EQ(still_ok->status_code, 200);
 }
 
-TEST_P(ServeTest, MetricsEndpointExposesServeFamilies) {
+TEST_F(ServeTest, MetricsEndpointExposesServeFamilies) {
   StartServer();
   (void)PostJson("/v1/diffusion",
                  R"({"publisher": 0, "candidate": 1, "words": [2]})");
@@ -388,7 +381,7 @@ TEST_P(ServeTest, MetricsEndpointExposesServeFamilies) {
             std::string::npos);
 }
 
-TEST_P(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
+TEST_F(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
   StartServer();
   // Prime the request-latency histograms so quantiles have mass.
   for (int i = 0; i < 20; ++i) {
@@ -432,7 +425,7 @@ TEST_P(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
   EXPECT_TRUE(found_request_seconds);
 }
 
-TEST_P(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
+TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
   ModelServiceOptions options;
   options.slow_request_ms = 1;  // lowest enabled threshold
   StartServer(options);
@@ -487,7 +480,7 @@ TEST_P(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
             1);
 }
 
-TEST_P(ServeTest, SlowRequestLogDisabledByDefault) {
+TEST_F(ServeTest, SlowRequestLogDisabledByDefault) {
   StartServer();  // slow_request_ms = 0: never logs
   static std::mutex log_mutex;
   static bool saw_slow = false;
@@ -506,7 +499,7 @@ TEST_P(ServeTest, SlowRequestLogDisabledByDefault) {
   EXPECT_FALSE(saw_slow);
 }
 
-TEST_P(ServeTest, PosteriorCacheHitsOnRepeatQueries) {
+TEST_F(ServeTest, PosteriorCacheHitsOnRepeatQueries) {
   ModelServiceOptions options;
   options.posterior_cache_capacity = 64;
   StartServer(options);
@@ -519,7 +512,7 @@ TEST_P(ServeTest, PosteriorCacheHitsOnRepeatQueries) {
   EXPECT_GE(hits->Value() - before, 4);
 }
 
-TEST_P(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
+TEST_F(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {1, 2, 3};
@@ -557,12 +550,12 @@ TEST_P(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
+TEST_F(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   StartServer();
   // Two distinct snapshots on disk.
   core::ColdEstimates model_a = RandomEstimates(7);   // == estimates_
   core::ColdEstimates model_b = RandomEstimates(99);
-  // Per-process names: ctest -j runs the Epoll and Blocking cases at once.
+  // Per-process names: ctest -j runs other serve_test processes at once.
   const std::string pid = std::to_string(::getpid());
   std::string path_a =
       (fs::temp_directory_path() / ("cold_serve_model_a_" + pid + ".bin"))
@@ -642,7 +635,7 @@ TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   fs::remove(path_b);
 }
 
-TEST_P(ServeTest, BatchingDisabledStillCorrect) {
+TEST_F(ServeTest, BatchingDisabledStillCorrect) {
   ModelServiceOptions options;
   options.batching_enabled = false;
   StartServer(options);
@@ -655,19 +648,8 @@ TEST_P(ServeTest, BatchingDisabledStillCorrect) {
               direct.DiffusionProbability(0, 7, words), 1e-9);
 }
 
-class LoadSheddingTest : public ::testing::TestWithParam<ServerMode> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, LoadSheddingTest,
-    ::testing::Values(ServerMode::kEpoll, ServerMode::kBlocking),
-    [](const ::testing::TestParamInfo<ServerMode>& info) {
-      return info.param == ServerMode::kEpoll ? "Epoll" : "Blocking";
-    });
-
-TEST_P(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {
+TEST(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {
   HttpServerOptions options;
-  options.mode = GetParam();
-  options.num_workers = 2;
   options.max_inflight_requests = 1;
   HttpServer server(options, [](const HttpRequest&) {
     return HttpResponse::Text(200, "{\"ok\": true}", "application/json");
@@ -712,7 +694,7 @@ TEST_P(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {
   server.Stop();
 }
 
-TEST_P(ServeTest, GracefulShutdownDrainsInFlight) {
+TEST_F(ServeTest, GracefulShutdownDrainsInFlight) {
   StartServer();
   std::atomic<int> completed{0};
   std::thread load([this, &completed] {
@@ -941,11 +923,119 @@ TEST_F(ArenaServeTest, ShardedReplicasAnswerByteIdenticalToSingleReplica) {
 }
 
 // ---------------------------------------------------------------------------
+// Slow readers (epoll backpressure)
+
+/// The slow-reader server's response body for `path`: the path on its own
+/// line, padded to 256 KiB so a handful of responses overrun the kernel's
+/// socket buffers.
+std::string SlowReaderBody(const std::string& path) {
+  std::string body = path;
+  body += '\n';
+  body.resize(256 * 1024, 'x');
+  return body;
+}
+
+/// `count` pipelined GETs of /r/<first> ... /r/<first + count - 1>.
+std::string PipelinedGets(int first, int count) {
+  std::string out;
+  for (int i = first; i < first + count; ++i) {
+    out += "GET /r/";
+    out += std::to_string(i);
+    out += " HTTP/1.1\r\n\r\n";
+  }
+  return out;
+}
+
+// A client that pipelines requests and stops reading must neither stall
+// the reactor nor lose responses: past max_buffered_out_bytes the reactor
+// leaves that connection's requests unparsed and keeps serving others.
+// An unparsed backlog past two maximal requests is abuse and closes it.
+TEST(SlowReaderTest, BackpressureParksOneConnectionAndFloodClosesIt) {
+  HttpServerOptions options;
+  options.num_reactors = 1;  // Both clients share the one reactor.
+  options.max_buffered_out_bytes = 8 * 1024;
+  options.limits.max_header_bytes = 1024;
+  options.limits.max_body_bytes = 1024;  // Backlog cap: 4 KiB unparsed.
+  std::atomic<int> handled{0};
+  HttpServer server(options, [&handled](const HttpRequest& request) {
+    if (request.path.rfind("/r/", 0) != 0) return HttpResponse::Text(200, "ok");
+    handled.fetch_add(1);
+    return HttpResponse::Text(200, SlowReaderBody(request.path));
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // Client A: a small fixed receive buffer (no autotuning), so the kernel
+  // absorbs far less than the 16 MiB of responses A asks for.
+  int a = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(a, 0);
+  int rcvbuf = 16 * 1024;
+  ::setsockopt(a, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  timeval timeout{5, 0};
+  ::setsockopt(a, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(a, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  constexpr int kRequests = 64;
+  const std::string batch = PipelinedGets(0, kRequests);
+  ASSERT_TRUE(cold::WriteFull(a, batch.data(), batch.size()).ok());
+
+  // While A reads nothing, a second connection on the same reactor is
+  // still served.
+  HttpClient b;
+  ASSERT_TRUE(b.Connect(server.port()).ok());
+  for (int i = 0; i < 3; ++i) {
+    auto response = b.Get("/b");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status_code, 200);
+  }
+  // The cap left A's later requests unparsed rather than buffering all of
+  // their responses.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(handled.load(), kRequests);
+
+  // Once A reads, every response arrives, in order, byte for byte.
+  for (int i = 0; i < kRequests; ++i) {
+    std::string path = "/r/";
+    path += std::to_string(i);
+    std::string expected;
+    AppendHttpResponse(&expected,
+                       HttpResponse::Text(200, SlowReaderBody(path)),
+                       /*close_connection=*/false);
+    std::string got(expected.size(), '\0');
+    cold::Status st = cold::ReadFull(a, got.data(), got.size());
+    ASSERT_TRUE(st.ok()) << "response " << i << ": " << st.ToString();
+    ASSERT_TRUE(got == expected) << "response " << i << " out of order";
+  }
+  EXPECT_EQ(handled.load(), kRequests);
+
+  // Park A behind the cap again, then flood it with ~12 KiB more pipelined
+  // requests: the server drops the connection.
+  const std::string again = PipelinedGets(kRequests, kRequests);
+  ASSERT_TRUE(cold::WriteFull(a, again.data(), again.size()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::string flood = PipelinedGets(0, 512);
+  ASSERT_GT(flood.size(), 2 * (options.limits.max_header_bytes +
+                               options.limits.max_body_bytes));
+  // The server may close mid-flood, so the write itself may fail.
+  (void)cold::WriteFull(a, flood.data(), flood.size());
+  b.Close();
+  for (int i = 0; i < 400 && server.active_connections() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.active_connections(), 0);
+  ::close(a);
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
 // Idle connection reaping (epoll event loop)
 
 TEST(IdleTimeoutTest, EventLoopReapsIdleConnections) {
   HttpServerOptions options;
-  options.mode = ServerMode::kEpoll;
   options.idle_timeout_seconds = 1;
   HttpServer server(options, [](const HttpRequest&) {
     return HttpResponse::Text(200, "{}", "application/json");

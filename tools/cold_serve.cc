@@ -4,20 +4,19 @@
 // serves the JSON inference API over HTTP/1.1 from an epoll event loop.
 //
 // Usage: cold_serve <model> [--port N] [--reactors N] [--replicas N]
-//                   [--idle-timeout-seconds N] [--blocking] [--workers N]
-//                   [--cache N] [--cache-shards N] [--no-batching]
-//                   [--batch-max N] [--batch-wait-us N]
-//                   [--top-communities N] [--max-inflight N]
+//                   [--idle-timeout-seconds N] [--cache N]
+//                   [--cache-shards N] [--no-batching] [--batch-max N]
+//                   [--batch-wait-us N] [--top-communities N]
+//                   [--max-inflight N] [--slow-request-ms N]
 //
 // --reactors picks the event-loop thread count (0 = one per hardware
-// thread, capped at 16); --blocking falls back to the legacy
-// thread-per-connection core sized by --workers. --replicas shards
-// queries across N predictor replicas by the author's home community;
-// arena snapshots share one mmap across all replicas.
+// thread, capped at 16). --replicas shards queries across N predictor
+// replicas by the author's home community; arena snapshots share one mmap
+// across all replicas.
 //
 // --max-inflight enables load shedding: connections beyond N concurrently
 // serviced ones are answered 503 + Retry-After instead of queueing (0 =
-// accept everything; counted by the serve_shed_total metric).
+// accept everything; counted by the cold/serve/shed_total metric).
 //
 // --slow-request-ms N logs any request slower than N ms with its method,
 // path, latency and diffusion batch size (0 disables the log).
@@ -55,8 +54,8 @@ void OnSignal(int sig) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <model> [--port N=8080] [--reactors N=0] "
-               "[--replicas N=1] [--idle-timeout-seconds N=5] [--blocking] "
-               "[--workers N=8] [--cache N=4096] [--cache-shards N=8] "
+               "[--replicas N=1] [--idle-timeout-seconds N=5] "
+               "[--cache N=4096] [--cache-shards N=8] "
                "[--no-batching] [--batch-max N=64] [--batch-wait-us N=200] "
                "[--top-communities N=5] [--max-inflight N=0] "
                "[--slow-request-ms N=0]\n",
@@ -85,12 +84,10 @@ int main(int argc, char** argv) {
 
   std::string model_path = argv[1];
   int port = 8080;
-  int workers = 8;
   int reactors = 0;
   int replicas = 1;
   int idle_timeout = 5;
   int cache_shards = 8;
-  bool blocking = false;
   int cache = 4096;
   int batch_max = 64;
   int batch_wait_us = 200;
@@ -106,8 +103,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(arg, "--port") == 0) {
       if (!next(0, 65535, &port)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      if (!next(1, 1024, &workers)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--reactors") == 0) {
       if (!next(0, 1024, &reactors)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--replicas") == 0) {
@@ -116,8 +111,6 @@ int main(int argc, char** argv) {
       if (!next(0, 86400, &idle_timeout)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--cache-shards") == 0) {
       if (!next(1, 4096, &cache_shards)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--blocking") == 0) {
-      blocking = true;
     } else if (std::strcmp(arg, "--cache") == 0) {
       if (!next(0, 1 << 24, &cache)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--no-batching") == 0) {
@@ -157,9 +150,6 @@ int main(int argc, char** argv) {
 
   serve::HttpServerOptions server_options;
   server_options.port = port;
-  server_options.mode = blocking ? serve::ServerMode::kBlocking
-                                 : serve::ServerMode::kEpoll;
-  server_options.num_workers = static_cast<size_t>(workers);
   server_options.num_reactors = reactors;
   server_options.idle_timeout_seconds = idle_timeout;
   server_options.max_inflight_requests = static_cast<size_t>(max_inflight);
