@@ -10,11 +10,13 @@
 //   reload — epoll load with /admin-style hot reloads every 50ms; reports
 //            sustained reload rate and the swap-stall quantiles from
 //            cold/serve/reload_swap_seconds (the O(1) pointer-swap claim).
-//   shed   — offered connections over max_inflight; reports the shed rate
-//            and the surviving throughput.
+//   shed   — offered connections over max_inflight; reports the shed rate.
+//            Its surviving throughput is a property of the shed policy, not
+//            of serving speed, so it is not emitted (and not gated);
+//            --smoke checks the shed run's correctness instead.
 //
-// Emits: requests_per_sec + p50/p99/p999 latency per scenario (the
-// *_per_sec keys are what bench_compare gates against
+// Emits: requests_per_sec + p50/p99/p999 latency per sweep and reload
+// scenario (the *_per_sec keys are what bench_compare gates against
 // bench/baselines/serve.json), reload stall, shed rate. Latencies are also
 // observed into the cold/bench/serve_latency_seconds histogram family
 // (label connections) so COLD_BENCH_METRICS snapshots carry them.
@@ -50,6 +52,15 @@ namespace cold::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Band the --smoke shed rate (8 connections against max_inflight 2) must
+/// land in. 52 recorded smoke runs on a 4-core host read 0.845-0.856 alone
+/// and 0.723-0.779 with 3 to 8 runs sharing the cores, plus one 0.347
+/// outlier under 6 concurrent runs; the band widens that range so it
+/// catches only a broken policy (nothing shed reads 0, everything shed
+/// reads 1), not scheduling noise.
+constexpr double kShedRateMin = 0.25;
+constexpr double kShedRateMax = 0.95;
 
 struct LoadOptions {
   bool smoke = false;
@@ -120,6 +131,7 @@ struct ScenarioResult {
   double duration_seconds = 0.0;
   int64_t completed = 0;
   int64_t errors = 0;       // Non-200 responses (503s under shedding).
+  int64_t unexpected = 0;   // Responses neither 200 nor 503.
   int64_t reconnects = 0;   // Server-closed connections reopened.
   double requests_per_sec = 0.0;
   double p50_ms = 0.0;
@@ -141,7 +153,7 @@ class LoadClient {
     for (Conn& c : conns) Open(&c);
     latencies_.clear();
     latencies_.reserve(1 << 16);
-    completed_ = errors_ = reconnects_ = 0;
+    completed_ = errors_ = unexpected_ = reconnects_ = 0;
 
     const Clock::time_point start = Clock::now();
     const Clock::time_point deadline =
@@ -179,6 +191,7 @@ class LoadClient {
         std::chrono::duration<double>(Clock::now() - start).count();
     result.completed = completed_;
     result.errors = errors_;
+    result.unexpected = unexpected_;
     result.reconnects = reconnects_;
     result.requests_per_sec =
         static_cast<double>(completed_) / result.duration_seconds;
@@ -279,6 +292,7 @@ class LoadClient {
     if (c->in.size() < total) return true;
 
     const bool ok = c->in.compare(9, 3, "200") == 0;
+    if (!ok && c->in.compare(9, 3, "503") != 0) ++unexpected_;
     double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - c->sent_at)
             .count();
@@ -307,20 +321,23 @@ class LoadClient {
   std::vector<double> latencies_;
   int64_t completed_ = 0;
   int64_t errors_ = 0;
+  int64_t unexpected_ = 0;
   int64_t reconnects_ = 0;
   size_t next_seed_ = 0;
   obs::Histogram* latency_hist_ = nullptr;
 };
 
-serve::Json ScenarioJson(const ScenarioResult& r) {
+serve::Json ScenarioJson(const ScenarioResult& r,
+                         bool with_throughput = true) {
   serve::Json obj = serve::Json::MakeObject();
   obj.Set("name", r.name);
   obj.Set("connections", r.connections);
   obj.Set("duration_seconds", r.duration_seconds);
   obj.Set("requests", r.completed);
   obj.Set("errors", r.errors);
+  obj.Set("unexpected_status", r.unexpected);
   obj.Set("reconnects", r.reconnects);
-  obj.Set("requests_per_sec", r.requests_per_sec);
+  if (with_throughput) obj.Set("requests_per_sec", r.requests_per_sec);
   obj.Set("p50_ms", r.p50_ms);
   obj.Set("p99_ms", r.p99_ms);
   obj.Set("p999_ms", r.p999_ms);
@@ -395,9 +412,6 @@ int Run(const LoadOptions& options) {
   service_options.num_replicas = 2;
   service_options.posterior_cache_capacity = 4096;
   service_options.cache_shards = 8;
-  // The load is single-candidate diffusion — always inline — so keep the
-  // batch thread off; one fewer thread on the bench core.
-  service_options.batching_enabled = false;
   serve::ModelService service(service_options);
   if (auto st = service.LoadFromFile(arena_path); !st.ok()) {
     std::fprintf(stderr, "arena load failed: %s\n", st.ToString().c_str());
@@ -475,7 +489,7 @@ int Run(const LoadOptions& options) {
   reload_obj.Set("swap_stall_p50_us", swap_p50_us);
   reload_obj.Set("swap_stall_p99_us", swap_p99_us);
   root.Set("reload", std::move(reload_obj));
-  serve::Json shed_obj = ScenarioJson(shed_run);
+  serve::Json shed_obj = ScenarioJson(shed_run, /*with_throughput=*/false);
   shed_obj.Set("sheds", sheds);
   shed_obj.Set("shed_rate", shed_rate);
   root.Set("shed", std::move(shed_obj));
@@ -512,6 +526,31 @@ int Run(const LoadOptions& options) {
     if (stall == nullptr || !stall->is_number() ||
         stall->as_number() >= 1000.0) {
       std::fprintf(stderr, "smoke: reload swap stall p99 not under 1ms\n");
+      return 1;
+    }
+    // Shedding must happen, must answer only 200 or 503, and must shed a
+    // share of the offered load inside the band recorded over repeated
+    // smoke runs (kShedRateMin/Max).
+    const serve::Json* shed_node = reparsed->Find("shed");
+    auto shed_number = [shed_node](const char* key) {
+      const serve::Json* v =
+          shed_node != nullptr ? shed_node->Find(key) : nullptr;
+      return v != nullptr && v->is_number() ? v->as_number() : -1.0;
+    };
+    if (shed_number("sheds") <= 0.0) {
+      std::fprintf(stderr, "smoke: shed scenario shed nothing\n");
+      return 1;
+    }
+    if (shed_number("unexpected_status") != 0.0) {
+      std::fprintf(stderr,
+                   "smoke: shed scenario answered something other than "
+                   "200 or 503\n");
+      return 1;
+    }
+    const double rate = shed_number("shed_rate");
+    if (rate < kShedRateMin || rate > kShedRateMax) {
+      std::fprintf(stderr, "smoke: shed rate %.3f outside [%.2f, %.2f]\n",
+                   rate, kShedRateMin, kShedRateMax);
       return 1;
     }
     std::printf("smoke validation passed\n");

@@ -29,22 +29,18 @@
 // in-flight computation and old snapshots free themselves when their last
 // request completes.
 //
-// Single-candidate /v1/diffusion — the serving hot path — computes inline
-// on the calling (reactor) thread: one cache-assisted Eq. (5) posterior
-// plus one DiffusionFromPosterior, no queue hop. Multi-candidate fan-outs
-// still micro-batch through the drain thread so the O(K |w_d|) posterior
-// is computed once per post and shared across candidates.
+// /v1/diffusion computes inline on the calling (reactor) thread: one
+// cache-assisted Eq. (5) posterior per request, shared by every candidate
+// of a fan-out, plus one DiffusionFromPosterior per candidate. The
+// O(K |w_d|) posterior is thus computed once per post within a request,
+// and the per-replica LRU shares it across requests.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/predictor.h"
@@ -72,26 +68,14 @@ struct ModelServiceOptions {
   size_t posterior_cache_capacity = 4096;
   /// Mutex shards within each replica's posterior cache.
   size_t cache_shards = 8;
-  /// Micro-batching of multi-candidate /v1/diffusion fan-outs. Disabled,
-  /// requests compute inline. Single-candidate requests always compute
-  /// inline.
-  bool batching_enabled = true;
-  /// Max requests drained into one batch.
-  size_t max_batch = 64;
-  /// How long a drain waits for the batch to fill once non-empty.
-  int batch_wait_us = 200;
-  /// Monte-Carlo IC trials for /v1/influential_communities (§6.6).
-  int influence_trials = 64;
-  /// Requests slower than this are logged with method/path/latency/batch
-  /// size (the slow-request log); 0 disables it.
+  /// Requests slower than this are logged with method/path/latency and
+  /// diffusion candidate count (the slow-request log); 0 disables it.
   int slow_request_ms = 0;
 };
 
 class ModelService {
  public:
   explicit ModelService(ModelServiceOptions options);
-  /// Drains the batching queue (pending requests are still answered).
-  ~ModelService();
 
   ModelService(const ModelService&) = delete;
   ModelService& operator=(const ModelService&) = delete;
@@ -137,16 +121,6 @@ class ModelService {
     std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
   };
 
-  struct PendingDiffusion {
-    std::shared_ptr<const core::ColdPredictor> model;
-    int64_t generation = 0;
-    int replica = 0;
-    text::UserId publisher = 0;
-    text::UserId candidate = 0;
-    std::vector<text::WordId> words;
-    std::promise<double> promise;
-  };
-
   /// Per-(replica, shard) cache counters exported as
   /// cold/serve/cache_{hits,misses,evictions}{replica=..,shard=..}.
   struct ShardMetrics {
@@ -185,15 +159,6 @@ class ModelService {
       const core::ColdPredictor& model, int replica, int64_t generation,
       text::UserId author, const std::vector<text::WordId>& words);
 
-  /// Enqueues one diffusion scoring; the future resolves after a drain.
-  std::future<double> EnqueueDiffusion(
-      std::shared_ptr<const core::ColdPredictor> model, int64_t generation,
-      int replica, text::UserId publisher, text::UserId candidate,
-      std::vector<text::WordId> words);
-
-  void BatchLoop();
-  void ExecuteBatch(std::vector<PendingDiffusion>* batch);
-
   const ModelServiceOptions options_;
   const int num_replicas_;
 
@@ -212,12 +177,6 @@ class ModelService {
   /// (entries are generation-keyed, so stale hits are impossible).
   std::vector<std::unique_ptr<ShardedLruCache<std::vector<double>>>> caches_;
   std::vector<std::vector<ShardMetrics>> shard_metrics_;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingDiffusion> queue_;
-  bool stopping_ = false;
-  std::thread batch_thread_;
 };
 
 }  // namespace cold::serve

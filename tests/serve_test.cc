@@ -250,18 +250,29 @@ TEST_F(ServeTest, DiffusionMatchesDirectPredictor) {
 }
 
 TEST_F(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
-  StartServer();
-  core::ColdPredictor direct(estimates_, 3);
-  std::vector<text::WordId> words = {0, 3};
-  Json body = PostJson(
-      "/v1/diffusion",
-      R"({"publisher": 2, "candidates": [4, 5, 6], "words": [0, 3]})");
-  const Json* probs = body.Find("probabilities");
-  ASSERT_NE(probs, nullptr);
-  ASSERT_EQ(probs->as_array().size(), 3u);
-  for (int n = 0; n < 3; ++n) {
-    EXPECT_NEAR(probs->as_array()[static_cast<size_t>(n)].as_number(),
-                direct.DiffusionProbability(2, 4 + n, words), 1e-9);
+  // With the posterior cache on (the default) and off: the fan-out shares
+  // one request-local posterior across its candidates either way, and the
+  // repeat is answered from the cache when there is one.
+  for (size_t capacity : {size_t{4096}, size_t{0}}) {
+    SCOPED_TRACE("posterior_cache_capacity=" + std::to_string(capacity));
+    ModelServiceOptions options;
+    options.posterior_cache_capacity = capacity;
+    StartServer(options);
+    core::ColdPredictor direct(estimates_, 3);
+    std::vector<text::WordId> words = {0, 3};
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      Json body = PostJson(
+          "/v1/diffusion",
+          R"({"publisher": 2, "candidates": [4, 5, 6], "words": [0, 3]})");
+      const Json* probs = body.Find("probabilities");
+      ASSERT_NE(probs, nullptr);
+      ASSERT_EQ(probs->as_array().size(), 3u);
+      for (int n = 0; n < 3; ++n) {
+        EXPECT_NEAR(probs->as_array()[static_cast<size_t>(n)].as_number(),
+                    direct.DiffusionProbability(2, 4 + n, words), 1e-9);
+      }
+    }
+    TearDown();
   }
 }
 
@@ -425,7 +436,7 @@ TEST_F(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
   EXPECT_TRUE(found_request_seconds);
 }
 
-TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
+TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndCandidates) {
   ModelServiceOptions options;
   options.slow_request_ms = 1;  // lowest enabled threshold
   StartServer(options);
@@ -443,10 +454,10 @@ TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
     if (level == LogLevel::kWarning) warnings.push_back(line);
   });
 
-  // A max-trials influence scan burns well past 1ms of CPU, and a batched
-  // diffusion fan-out records its batch size; at least one of the two must
-  // cross the threshold and the logged line must carry method, path,
-  // latency and batch size.
+  // A max-trials influence scan burns well past 1ms of CPU, so it crosses
+  // the threshold; a diffusion fan-out that happens to cross it too logs
+  // its candidate count. Every logged line must carry method, path,
+  // latency and the candidates field (0 for non-diffusion endpoints).
   auto slow =
       client_.Get("/v1/influential_communities?topic=1&n=3&trials=100000");
   ASSERT_TRUE(slow.ok());
@@ -469,7 +480,7 @@ TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
         line.find("POST /v1/diffusion") != std::string::npos;
     EXPECT_TRUE(has_method_and_path) << line;
     EXPECT_NE(line.find("ms (status"), std::string::npos) << line;
-    EXPECT_NE(line.find("batch_size"), std::string::npos) << line;
+    EXPECT_NE(line.find("candidates"), std::string::npos) << line;
   }
   EXPECT_TRUE(found_slow) << "no slow-request warning captured";
 
@@ -518,30 +529,68 @@ TEST_F(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   std::vector<text::WordId> words = {1, 2, 3};
   const double expected = direct.DiffusionProbability(1, 2, words);
 
+  // Every other request is a 16-candidate fan-out (candidates cycle
+  // through all users), so fan-outs run inline on several reactors at
+  // once alongside single-candidate requests.
+  constexpr int kFanOut = 16;
+  std::vector<double> fan_out_expected;
+  std::string fan_out_body = R"({"publisher": 1, "words": [1, 2, 3], )"
+                             R"("candidates": [)";
+  for (int j = 0; j < kFanOut; ++j) {
+    const int candidate = j % estimates_.U;
+    fan_out_expected.push_back(
+        direct.DiffusionProbability(1, candidate, words));
+    if (j > 0) fan_out_body += ", ";
+    fan_out_body += std::to_string(candidate);
+  }
+  fan_out_body += "]}";
+
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([this, expected, &failures] {
+    threads.emplace_back([this, expected, &fan_out_expected, &fan_out_body,
+                          &failures] {
       HttpClient client;
       if (!client.Connect(server_->port()).ok()) {
         failures.fetch_add(kPerThread);
         return;
       }
       for (int n = 0; n < kPerThread; ++n) {
+        const bool fan_out = n % 2 == 1;
         auto response = client.Post(
             "/v1/diffusion",
-            R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})");
+            fan_out ? fan_out_body
+                    : R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})");
         if (!response.ok() || response->status_code != 200) {
           failures.fetch_add(1);
           continue;
         }
         auto body = Json::Parse(response->body);
-        if (!body.ok() ||
-            std::fabs(body->Find("probability")->as_number() - expected) >
-                1e-9) {
+        if (!body.ok()) {
           failures.fetch_add(1);
+          continue;
+        }
+        if (!fan_out) {
+          const Json* p = body->Find("probability");
+          if (p == nullptr || std::fabs(p->as_number() - expected) > 1e-9) {
+            failures.fetch_add(1);
+          }
+          continue;
+        }
+        const Json* probs = body->Find("probabilities");
+        if (probs == nullptr || !probs->is_array() ||
+            probs->as_array().size() != fan_out_expected.size()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t j = 0; j < fan_out_expected.size(); ++j) {
+          if (std::fabs(probs->as_array()[j].as_number() -
+                        fan_out_expected[j]) > 1e-9) {
+            failures.fetch_add(1);
+            break;
+          }
         }
       }
     });
@@ -633,19 +682,6 @@ TEST_F(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   EXPECT_EQ(health->status_code, 200);
   fs::remove(path_a);
   fs::remove(path_b);
-}
-
-TEST_F(ServeTest, BatchingDisabledStillCorrect) {
-  ModelServiceOptions options;
-  options.batching_enabled = false;
-  StartServer(options);
-  core::ColdPredictor direct(estimates_, 3);
-  std::vector<text::WordId> words = {6};
-  Json body = PostJson(
-      "/v1/diffusion",
-      R"({"publisher": 0, "candidate": 7, "words": [6]})");
-  EXPECT_NEAR(body.Find("probability")->as_number(),
-              direct.DiffusionProbability(0, 7, words), 1e-9);
 }
 
 TEST(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {

@@ -5,21 +5,22 @@
 //
 // Usage: cold_serve <model> [--port N] [--reactors N] [--replicas N]
 //                   [--idle-timeout-seconds N] [--cache N]
-//                   [--cache-shards N] [--no-batching] [--batch-max N]
-//                   [--batch-wait-us N] [--top-communities N]
+//                   [--cache-shards N] [--top-communities N]
 //                   [--max-inflight N] [--slow-request-ms N]
 //
 // --reactors picks the event-loop thread count (0 = one per hardware
 // thread, capped at 16). --replicas shards queries across N predictor
 // replicas by the author's home community; arena snapshots share one mmap
-// across all replicas.
+// across all replicas. /v1/diffusion computes on the reactor thread that
+// parsed the request: one cached Eq. (5) posterior shared by every
+// candidate of a fan-out.
 //
 // --max-inflight enables load shedding: connections beyond N concurrently
 // serviced ones are answered 503 + Retry-After instead of queueing (0 =
 // accept everything; counted by the cold/serve/shed_total metric).
 //
 // --slow-request-ms N logs any request slower than N ms with its method,
-// path, latency and diffusion batch size (0 disables the log).
+// path, latency and diffusion candidate count (0 disables the log).
 //
 // Endpoints: POST /v1/diffusion, /v1/topic_posterior, /v1/link,
 // /v1/timestamp; GET /v1/influential_communities, /healthz, /metrics
@@ -56,7 +57,6 @@ int Usage(const char* argv0) {
                "usage: %s <model> [--port N=8080] [--reactors N=0] "
                "[--replicas N=1] [--idle-timeout-seconds N=5] "
                "[--cache N=4096] [--cache-shards N=8] "
-               "[--no-batching] [--batch-max N=64] [--batch-wait-us N=200] "
                "[--top-communities N=5] [--max-inflight N=0] "
                "[--slow-request-ms N=0]\n",
                argv0);
@@ -89,12 +89,9 @@ int main(int argc, char** argv) {
   int idle_timeout = 5;
   int cache_shards = 8;
   int cache = 4096;
-  int batch_max = 64;
-  int batch_wait_us = 200;
   int top_communities = 5;
   int max_inflight = 0;
   int slow_request_ms = 0;
-  bool batching = true;
 
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
@@ -113,12 +110,6 @@ int main(int argc, char** argv) {
       if (!next(1, 4096, &cache_shards)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--cache") == 0) {
       if (!next(0, 1 << 24, &cache)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--no-batching") == 0) {
-      batching = false;
-    } else if (std::strcmp(arg, "--batch-max") == 0) {
-      if (!next(1, 65536, &batch_max)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--batch-wait-us") == 0) {
-      if (!next(0, 1000000, &batch_wait_us)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--top-communities") == 0) {
       if (!next(1, 1 << 20, &top_communities)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--max-inflight") == 0) {
@@ -137,9 +128,6 @@ int main(int argc, char** argv) {
   service_options.num_replicas = replicas;
   service_options.posterior_cache_capacity = static_cast<size_t>(cache);
   service_options.cache_shards = static_cast<size_t>(cache_shards);
-  service_options.batching_enabled = batching;
-  service_options.max_batch = static_cast<size_t>(batch_max);
-  service_options.batch_wait_us = batch_wait_us;
   service_options.slow_request_ms = slow_request_ms;
 
   serve::ModelService service(service_options);

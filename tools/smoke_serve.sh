@@ -5,10 +5,12 @@
 #
 # Drives the epoll serving core over an mmap'd COLDARN1 arena snapshot
 # with two reactors and two replicas: N sequential /v1/diffusion POSTs
-# must all return HTTP 200, a hot reload is triggered mid-load (SIGHUP
-# and /admin/reload), /metrics must report a request count consistent
-# with the load, and the reload swap stall measured by
-# cold/serve/reload_swap_seconds must stay under a generous bound.
+# (alternating single-candidate requests and 16-candidate fan-outs) must
+# all return HTTP 200, an /admin/reload precedes the load and a SIGHUP
+# reload fires mid-load and must land (generation 3, three swap samples),
+# /metrics must report a request count consistent with the load, and the
+# reload swap stall measured by cold/serve/reload_swap_seconds must stay
+# under a generous bound.
 #
 # Usage: tools/smoke_serve.sh [build-dir] [num-requests]
 set -euo pipefail
@@ -95,18 +97,27 @@ check 404 "unknown route -> 404" "${BASE}/v1/nope"
 
 echo "== ${NUM_REQUESTS} sequential /v1/diffusion requests =="
 # One keep-alive connection, batched through curl's config reader so we do
-# not fork per request. Every response must be HTTP 200.
+# not fork per request. Every second request is a 16-candidate fan-out.
+# Every response must be HTTP 200.
 CONFIG="${WORK_DIR}/curl_batch.cfg"
 # "next" resets per-transfer options; without it curl would concatenate
 # every data line into one giant body shared by all transfers.
-BLOCK='url = "'${BASE}'/v1/diffusion"
+SINGLE='url = "'${BASE}'/v1/diffusion"
 data = "{\"publisher\": 0, \"candidate\": 1, \"words\": [0, 1, 2]}"
 output = "/dev/null"
 write-out = "%{http_code}\n"'
+FAN_OUT='url = "'${BASE}'/v1/diffusion"
+data = "{\"publisher\": 0, \"candidates\": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], \"words\": [0, 1, 2]}"
+output = "/dev/null"
+write-out = "%{http_code}\n"'
 {
-  printf '%s\n' "${BLOCK}"
-  for _ in $(seq 2 "${NUM_REQUESTS}"); do
-    printf 'next\n%s\n' "${BLOCK}"
+  printf '%s\n' "${SINGLE}"
+  for i in $(seq 2 "${NUM_REQUESTS}"); do
+    if (( i % 2 == 0 )); then
+      printf 'next\n%s\n' "${FAN_OUT}"
+    else
+      printf 'next\n%s\n' "${SINGLE}"
+    fi
   done
 } >"${CONFIG}"
 # Fire early: 2000 keep-alive requests take ~150 ms on a 4-core host.
@@ -120,6 +131,20 @@ TOTAL="$(echo "${CODES}" | wc -l)"
   || die "expected ${NUM_REQUESTS} responses, saw ${TOTAL}"
 [[ "${NON_200}" -eq 0 ]] || die "${NON_200}/${TOTAL} non-200 responses"
 echo "  ${TOTAL}/${TOTAL} returned 200 (hot reload fired mid-load)"
+
+echo "== SIGHUP reload lands =="
+# /admin/reload above made the generation 2; the SIGHUP must make it 3.
+# cold_serve services SIGHUP from a 100 ms poll loop, so wait for it.
+GENERATION=0
+for _ in $(seq 1 50); do
+  GENERATION="$(curl -s "${BASE}/healthz" \
+    | sed -n 's/.*"generation":\([0-9]*\).*/\1/p')" || true
+  [[ "${GENERATION:-0}" -ge 3 ]] && break
+  sleep 0.1
+done
+[[ "${GENERATION:-0}" -ge 3 ]] \
+  || die "SIGHUP reload never landed (generation ${GENERATION:-none})"
+echo "  generation ${GENERATION}"
 
 echo "== /metrics consistency =="
 curl -s "${BASE}/metrics" >"${WORK_DIR}/metrics.txt" || die "GET /metrics"
@@ -147,7 +172,7 @@ with open(sys.argv[1]) as f:
     vars = json.load(f)
 assert vars["model_loaded"] is True, "model_loaded not true"
 assert "generation" in vars, "missing generation"
-assert vars["generation"] >= 2, f"SIGHUP reload never landed: {vars['generation']}"
+assert vars["generation"] >= 3, f"SIGHUP reload never landed: {vars['generation']}"
 assert vars["snapshot_format"] == "coldarn1", \
     f"not serving from the arena: {vars.get('snapshot_format')}"
 assert vars["replicas"] == 2, f"replica count: {vars.get('replicas')}"
@@ -161,7 +186,11 @@ for key in ("p50", "p90", "p99"):
     assert q[key] is None or q[key] > 0, f"{key} not positive: {q[key]}"
 assert q["p99"] is not None, "p99 null despite load"
 print(f"  request_seconds p50={q['p50']:.6f}s p99={q['p99']:.6f}s")
-swap = by_name["cold/serve/reload_swap_seconds"]["quantiles"]
+swap_hist = by_name["cold/serve/reload_swap_seconds"]
+# Initial load, /admin/reload and SIGHUP: three swaps at least.
+assert swap_hist["count"] >= 3, \
+    f"reload swap samples: {swap_hist['count']} (wanted >= 3)"
+swap = swap_hist["quantiles"]
 assert swap["p99"] is not None, "no reload swap samples despite SIGHUP"
 # The swap is one atomic pointer store; tens of microseconds even on a
 # loaded box. 10ms is the deliberately generous smoke bound.
